@@ -341,7 +341,7 @@ func main() {
 		var entries []scaleEntry
 		for _, name := range scaleNames {
 			name := name
-			run("Storage scaling: segment store vs gob snapshot on "+name, func() error {
+			run("Storage scaling: segment store on "+name, func() error {
 				out, rows, err := runScale(name, sc, *seed)
 				if err != nil {
 					return err

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,18 +14,14 @@ import (
 )
 
 // scaleEntry is one row of the machine-readable scaling results: per
-// collection size, how fast the index comes up from the legacy gob
-// snapshot versus the segment store, what the store costs on disk, and
-// how hard the stage-0 sketch filter prunes once it is up — the numbers
-// the bench-scale CI lane gates against a committed baseline.
+// collection size, how fast the index comes up from its segment store
+// and how hard the stage-0 sketch filter prunes once it is up — the
+// numbers the bench-scale CI lane gates against a committed baseline.
 type scaleEntry struct {
 	Dataset         string  `json:"dataset"`
 	Series          int     `json:"series"`
 	Length          int     `json:"length"`
-	GobBytes        int     `json:"gob_bytes"`
-	GobLoadMS       float64 `json:"gob_load_ms"`
 	StoreOpenMS     float64 `json:"store_open_ms"`
-	OpenSpeedup     float64 `json:"open_speedup"`
 	OpenUSPerSeries float64 `json:"open_us_per_series"`
 	QPS             float64 `json:"qps"`
 	SketchPruneRate float64 `json:"sketch_prune_rate"`
@@ -60,13 +55,11 @@ func scaleSizes(sc experiments.Scale) []int {
 }
 
 // runScale benchmarks the storage layer end to end: per collection size,
-// it snapshots one index both ways (legacy gob and segment store), times
-// a cold come-up from each, then drives k=5 searches through the
-// store-backed index to measure throughput and the stage-0 sketch
-// filter's prune rate. Gob load decodes every raw value and feature
-// vector into RAM up front; the store open reads only the hot sections
-// (envelopes and sketches) and leaves raw values cold, so the open-time
-// gap is the point of the experiment.
+// it exports one index into a segment store, times a cold open (which
+// reads only the hot sections — envelopes and sketches — and leaves raw
+// values on disk), then drives k=5 searches through the store-backed
+// index to measure throughput and the stage-0 sketch filter's prune
+// rate.
 func runScale(name string, sc experiments.Scale, seed int64) (string, []scaleEntry, error) {
 	d, err := experiments.LoadDataset(name, sc, seed)
 	if err != nil {
@@ -80,9 +73,9 @@ func runScale(name string, sc experiments.Scale, seed int64) (string, []scaleEnt
 
 	var sb strings.Builder
 	var entries []scaleEntry
-	fmt.Fprintf(&sb, "%s: segment store vs gob snapshot, k=5, %d queries per point\n", d.Name, queries)
-	fmt.Fprintf(&sb, "%-8s %10s %10s %10s %8s %12s %10s %8s %8s\n",
-		"series", "gob_kb", "gob_load", "open", "speedup", "us/series", "qps", "lb_paa", "pruned")
+	fmt.Fprintf(&sb, "%s: segment store, k=5, %d queries per point\n", d.Name, queries)
+	fmt.Fprintf(&sb, "%-8s %10s %12s %10s %8s %8s\n",
+		"series", "open", "us/series", "qps", "lb_paa", "pruned")
 
 	for _, mult := range scaleSizes(sc) {
 		size := mult * d.Len()
@@ -99,18 +92,7 @@ func runScale(name string, sc experiments.Scale, seed int64) (string, []scaleEnt
 			return "", nil, fmt.Errorf("indexing %d series of %s: %w", size, d.Name, err)
 		}
 
-		// Legacy path: snapshot to gob, time a full in-RAM load.
-		var gob bytes.Buffer
-		if err := ix.Save(&gob); err != nil {
-			return "", nil, fmt.Errorf("gob snapshot: %w", err)
-		}
-		t0 := time.Now()
-		if _, err := sdtw.LoadIndex(bytes.NewReader(gob.Bytes()), opts); err != nil {
-			return "", nil, fmt.Errorf("gob load: %w", err)
-		}
-		gobLoad := time.Since(t0)
-
-		// Store path: export segments, time a cold open.
+		// Export segments, time a cold open.
 		tmp, err := os.MkdirTemp("", "sdtw-scale-")
 		if err != nil {
 			return "", nil, err
@@ -120,7 +102,7 @@ func runScale(name string, sc experiments.Scale, seed int64) (string, []scaleEnt
 			os.RemoveAll(tmp)
 			return "", nil, fmt.Errorf("store export: %w", err)
 		}
-		t0 = time.Now()
+		t0 := time.Now()
 		cold, err := sdtw.OpenIndex(dir, opts)
 		if err != nil {
 			os.RemoveAll(tmp)
@@ -151,10 +133,7 @@ func runScale(name string, sc experiments.Scale, seed int64) (string, []scaleEnt
 			Dataset:         d.Name,
 			Series:          size,
 			Length:          d.Length,
-			GobBytes:        gob.Len(),
-			GobLoadMS:       float64(gobLoad.Microseconds()) / 1000,
 			StoreOpenMS:     float64(storeOpen.Microseconds()) / 1000,
-			OpenSpeedup:     float64(gobLoad) / float64(storeOpen),
 			OpenUSPerSeries: float64(storeOpen.Microseconds()) / float64(size),
 			QPS:             float64(queries) / wall.Seconds(),
 		}
@@ -163,9 +142,8 @@ func runScale(name string, sc experiments.Scale, seed int64) (string, []scaleEnt
 			e.PruneRate = float64(pruned) / float64(candidates)
 		}
 		entries = append(entries, e)
-		fmt.Fprintf(&sb, "%-8d %10d %9.2fms %9.2fms %7.1fx %12.2f %10.0f %7.1f%% %7.1f%%\n",
-			size, gob.Len()/1024, e.GobLoadMS, e.StoreOpenMS, e.OpenSpeedup,
-			e.OpenUSPerSeries, e.QPS, 100*e.SketchPruneRate, 100*e.PruneRate)
+		fmt.Fprintf(&sb, "%-8d %8.2fms %12.2f %10.0f %7.1f%% %7.1f%%\n",
+			size, e.StoreOpenMS, e.OpenUSPerSeries, e.QPS, 100*e.SketchPruneRate, 100*e.PruneRate)
 	}
 	return sb.String(), entries, nil
 }

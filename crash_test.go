@@ -152,7 +152,7 @@ func runCrashScript(t *testing.T, dir string, fs *vfs.FaultFS, acks *crashAcks) 
 		SketchWidth:    crashSketchWidth,
 		SegmentRecords: 3,
 		Meta: map[string]string{
-			storeMetaKind:    snapshotKindWindowed,
+			storeMetaKind:    storeKindWindowed,
 			storeMetaLength:  strconv.Itoa(crashSeriesLen),
 			storeMetaRadius:  strconv.Itoa(crashRadius),
 			storeMetaNextSeq: strconv.Itoa(crashSeriesCount),

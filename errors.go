@@ -63,13 +63,13 @@ var (
 	// degraded serving), and Compact refuses until the quarantine is
 	// resolved.
 	ErrQuarantined = store.ErrQuarantined
-	// ErrStoreExists reports a SaveStore (or migration) into a directory
-	// that already holds a segment store.
+	// ErrStoreExists reports a SaveStore into a directory that already
+	// holds a segment store.
 	ErrStoreExists = store.ErrStoreExists
 	// ErrNotStoreBacked reports Compact, StoreStats or CloseStore on an
 	// index that was not opened from a segment store.
 	ErrNotStoreBacked = errors.New("index is not store-backed")
-	// ErrStoreBacked reports a gob Save of a store-backed index, whose
+	// ErrStoreBacked reports a SaveStore of a store-backed index, whose
 	// raw values live in its segment store (keep serving from the store,
 	// or rebuild an in-RAM index from the data).
 	ErrStoreBacked = errors.New("index is store-backed")

@@ -8,10 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"sdtw/internal/retrieve"
-	"sdtw/internal/store"
 )
 
 // Index supports retrieval and k-nearest-neighbour classification over a
@@ -42,11 +40,10 @@ type Index struct {
 	engine *Engine // nil for the windowed backend
 	radius int     // effective windowed radius; -1 for the engine backend
 
-	// Store-backed state (non-nil store only for indexes opened with
+	// Store-backed state (non-nil stores only for indexes opened with
 	// OpenIndex / OpenWindowedIndex): mutations write through to the
-	// segment store, serialised by storeMu.
-	store   *store.Store
-	storeMu sync.Mutex
+	// segment store. seqs and nextSeq are guarded by stores.mu.
+	stores  *storeSet
 	seqs    map[string]uint64 // insertion sequence by series ID
 	nextSeq uint64
 
@@ -174,7 +171,7 @@ func (ix *Index) Radius() int { return ix.radius }
 // non-empty, its non-empty ID unique, and — on windowed indexes — its
 // length equal to the indexed length.
 func (ix *Index) Add(s Series) error {
-	if ix.store != nil {
+	if ix.stores != nil {
 		return ix.addStore(s)
 	}
 	if err := ix.core.Add(s); err != nil {
@@ -187,7 +184,7 @@ func (ix *Index) Add(s Series) error {
 // envelope and cached features. Later series shift down one position.
 // Removing the last series fails: an index is never empty.
 func (ix *Index) Remove(id string) error {
-	if ix.store != nil {
+	if ix.stores != nil {
 		return ix.removeStore(id)
 	}
 	if err := ix.core.Remove(id); err != nil {

@@ -24,6 +24,19 @@ import (
 	"sdtw"
 )
 
+// Bounds on what one client can make the server hold or spend. They are
+// constants, not Config fields: they guard the process, not a workload.
+const (
+	// maxBodyBytes caps a request body: ~400k JSON-encoded values, far
+	// past any series the index serves. Larger bodies get 413.
+	maxBodyBytes = 8 << 20
+	// readHeaderTimeout, readTimeout and idleTimeout bound how long a
+	// slow or idle connection may hold a server goroutine.
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
 // Config tunes a Server.
 type Config struct {
 	// MaxInflight bounds the searches executing concurrently; further
@@ -128,7 +141,8 @@ type SearchRequest struct {
 	// pruning cascade). Absent means no limit; an explicit 0 is honoured
 	// (exact matches only).
 	Threshold *float64 `json:"threshold,omitempty"`
-	// Workers overrides the per-search worker budget when positive.
+	// Workers overrides the per-search worker budget when positive,
+	// clamped to GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -191,7 +205,7 @@ type StatsResponse struct {
 	Backend    string `json:"backend"`
 
 	// Store-backed indexes additionally report their segment-store shape;
-	// all four are zero for in-RAM (gob-loaded or freshly built) indexes.
+	// all four are zero for in-RAM indexes.
 	StoreBacked bool `json:"store_backed"`
 	Segments    int  `json:"segments,omitempty"`
 	Tombstones  int  `json:"tombstones,omitempty"`
@@ -247,6 +261,27 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
+
+// decodeRequest decodes a JSON request body of at most maxBodyBytes into
+// v, answering 413 for an oversized body and 400 for a malformed one.
+// It reports whether the handler should go on.
+func decodeRequest(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("decoding %s request: %w", what, err))
+	return false
+}
+
+// searchWorkers clamps a request's worker budget to GOMAXPROCS: a client
+// may narrow one search's parallelism, never widen it past the machine.
+func searchWorkers(n int) int { return min(n, runtime.GOMAXPROCS(0)) }
 
 // statusFor maps the library's sentinel errors onto HTTP statuses.
 func statusFor(err error) int {
@@ -304,8 +339,7 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding search request: %w", err))
+	if !decodeRequest(w, r, "search", &req) {
 		return
 	}
 	if req.K < 0 {
@@ -332,7 +366,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		opts = append(opts, sdtw.WithThreshold(*req.Threshold))
 	}
 	if req.Workers > 0 {
-		opts = append(opts, sdtw.WithWorkers(req.Workers))
+		opts = append(opts, sdtw.WithWorkers(searchWorkers(req.Workers)))
 	}
 	query := sdtw.Series{ID: req.ID, Label: -1, Values: req.Values}
 	hits, stats, err := s.ix.Search(ctx, query, opts...)
@@ -362,8 +396,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	var req AddRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding add request: %w", err))
+	if !decodeRequest(w, r, "add", &req) {
 		return
 	}
 	s2 := sdtw.NewSeries(req.ID, req.Label, req.Values)
@@ -381,8 +414,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	var req RemoveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding remove request: %w", err))
+	if !decodeRequest(w, r, "remove", &req) {
 		return
 	}
 	if err := s.ix.Remove(req.ID); err != nil {
@@ -485,8 +517,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // returns once the server has fully stopped — the wiring cmd/sdtwd and
 // the drain tests share.
 func (s *Server) Run(ctx context.Context, addr string, drainTimeout time.Duration, ready chan<- string) error {
-	hs := &http.Server{Addr: addr, Handler: s.Handler()}
-	return s.run(ctx, hs, drainTimeout, ready)
+	return s.run(ctx, s.httpServer(addr), drainTimeout, ready)
+}
+
+// httpServer is the http.Server Run serves on, with the connection
+// timeouts set.
+func (s *Server) httpServer(addr string) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 func (s *Server) run(ctx context.Context, hs *http.Server, drainTimeout time.Duration, ready chan<- string) error {

@@ -209,6 +209,47 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
+// TestRequestBounds pins the per-request bounds at the HTTP boundary:
+// an oversized body is refused with 413 on every body-carrying route, a
+// client's worker budget is clamped to GOMAXPROCS, and the server Run
+// builds has non-zero connection timeouts.
+func TestRequestBounds(t *testing.T) {
+	srv, d := newTestServer(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := ts.Client()
+
+	huge := `{"id":"x","values":[` + strings.Repeat("0,", maxBodyBytes/2) + `0]}`
+	for _, path := range []string{"/v1/search", "/v1/add", "/v1/remove"} {
+		resp, err := c.Post(ts.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: status %d, want 413", path, len(huge), resp.StatusCode)
+		}
+	}
+
+	if got, want := searchWorkers(1e9), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("searchWorkers(1e9) = %d, want GOMAXPROCS %d", got, want)
+	}
+	if got := searchWorkers(1); got != 1 {
+		t.Errorf("searchWorkers(1) = %d, want 1", got)
+	}
+	q := d.Series[0]
+	resp, body := postJSON(t, c, ts.URL+"/v1/search", SearchRequest{Values: q.Values, K: 1, Workers: 1e9})
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("search with workers 1e9: status %d (%s), want 200", resp.StatusCode, body)
+	}
+
+	hs := srv.httpServer(":0")
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Errorf("Run's server timeouts: header %v, read %v, idle %v; want all > 0",
+			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
+	}
+}
+
 // TestBackpressure saturates the in-flight slots and the wait queue by
 // holding the admission semaphore directly, then checks the server sheds
 // the overflow with 429 instead of buffering without bound.

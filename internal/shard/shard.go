@@ -112,26 +112,13 @@ func New(cfg Config, data []series.Series) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return assemble(cfg, parts, nil, seqs, uint64(len(data)))
-}
-
-// Restore rebuilds a cluster from persisted per-shard state: the series,
-// their LB_Keogh envelopes (trusted, not recomputed), the insertion
-// sequences, and the next sequence number. parts, envs and seqs are
-// indexed by shard and must all have cfg.Shards entries; empty shards
-// are empty slices.
-func Restore(cfg Config, parts [][]series.Series, envs [][]lower.Envelope, seqs [][]uint64, nextSeq uint64) (*Cluster, error) {
-	if len(parts) != cfg.Shards || len(envs) != cfg.Shards || len(seqs) != cfg.Shards {
-		return nil, fmt.Errorf("snapshot has %d/%d/%d shard entries, want %d: %w",
-			len(parts), len(envs), len(seqs), cfg.Shards, retrieve.ErrConfigMismatch)
-	}
-	for i, part := range parts {
-		if len(seqs[i]) != len(part) {
-			return nil, fmt.Errorf("shard %d has %d sequence numbers for %d series: %w",
-				i, len(seqs[i]), len(part), retrieve.ErrConfigMismatch)
+	return assemble(cfg, seqs, uint64(len(data)), func(i int, b retrieve.Backend, workers int) (*retrieve.Core, error) {
+		core, err := retrieve.New(b, parts[i], workers, cfg.Abandon)
+		if err != nil || cfg.SketchWidth <= 0 {
+			return core, err
 		}
-	}
-	return assemble(cfg, parts, envs, seqs, nextSeq)
+		return core, core.EnableSketches(cfg.SketchWidth)
+	})
 }
 
 // partition validates data and splits it (order-preserving) across the
@@ -155,7 +142,10 @@ func partition(cfg Config, data []series.Series) ([][]series.Series, [][]uint64,
 	return parts, seqs, nil
 }
 
-func assemble(cfg Config, parts [][]series.Series, envs [][]lower.Envelope, seqs [][]uint64, nextSeq uint64) (*Cluster, error) {
+// assemble builds a cluster whose shard i holds the series at insertion
+// sequences seqs[i]; build makes the core of each non-empty shard over
+// that shard's backend.
+func assemble(cfg Config, seqs [][]uint64, nextSeq uint64, build func(i int, b retrieve.Backend, workers int) (*retrieve.Core, error)) (*Cluster, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("cluster needs at least one shard, got %d", cfg.Shards)
 	}
@@ -181,20 +171,10 @@ func assemble(cfg Config, parts [][]series.Series, envs [][]lower.Envelope, seqs
 		}
 		c.backends[i] = b
 		snap := &snapshot{}
-		if len(parts[i]) > 0 {
-			var core *retrieve.Core
-			if envs == nil {
-				core, err = retrieve.New(b, parts[i], workers, cfg.Abandon)
-			} else {
-				core, err = retrieve.Restore(b, parts[i], envs[i], workers, cfg.Abandon)
-			}
+		if len(seqs[i]) > 0 {
+			core, err := build(i, b, workers)
 			if err != nil {
 				return nil, fmt.Errorf("shard %d: %w", i, err)
-			}
-			if c.sketchW > 0 {
-				if err := core.EnableSketches(c.sketchW); err != nil {
-					return nil, fmt.Errorf("shard %d: %w", i, err)
-				}
 			}
 			snap.core = core
 			snap.seqs = append([]uint64(nil), seqs[i]...)
@@ -219,42 +199,9 @@ func RestoreCold(cfg Config, parts [][]retrieve.ColdSeries, seqs [][]uint64, nex
 				i, len(seqs[i]), len(part), retrieve.ErrConfigMismatch)
 		}
 	}
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("cluster needs at least one shard, got %d", cfg.Shards)
-	}
-	if cfg.NewBackend == nil {
-		return nil, fmt.Errorf("cluster needs a backend constructor")
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = cfg.Shards
-	}
-	c := &Cluster{
-		backends: make([]retrieve.Backend, cfg.Shards),
-		workers:  workers,
-		abandon:  cfg.Abandon,
-		sketchW:  cfg.SketchWidth,
-		slots:    make([]slot, cfg.Shards),
-	}
-	c.nextSeq.Store(nextSeq)
-	for i := range c.slots {
-		b, err := cfg.NewBackend(i)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d backend: %w", i, err)
-		}
-		c.backends[i] = b
-		snap := &snapshot{}
-		if len(parts[i]) > 0 {
-			core, err := retrieve.RestoreCold(b, parts[i], cfg.SketchWidth, workers, cfg.Abandon)
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", i, err)
-			}
-			snap.core = core
-			snap.seqs = append([]uint64(nil), seqs[i]...)
-		}
-		c.slots[i].snap.Store(snap)
-	}
-	return c, nil
+	return assemble(cfg, seqs, nextSeq, func(i int, b retrieve.Backend, workers int) (*retrieve.Core, error) {
+		return retrieve.RestoreCold(b, parts[i], cfg.SketchWidth, workers, cfg.Abandon)
+	})
 }
 
 // Backend exposes shard i's distance backend (the storage layer derives
@@ -266,7 +213,7 @@ func (c *Cluster) Backend(i int) retrieve.Backend { return c.backends[i] }
 func (c *Cluster) SketchWidth() int { return c.sketchW }
 
 // Cold reports whether any shard core is store-backed (raw values on
-// disk). Gob persistence refuses such clusters.
+// disk). Export refuses such clusters.
 func (c *Cluster) Cold() bool {
 	for i := range c.slots {
 		if snap := c.slots[i].snap.Load(); snap.core != nil && snap.core.Cold() {
@@ -488,25 +435,16 @@ func (c *Cluster) Search(ctx context.Context, query series.Series, p retrieve.Pa
 
 // ShardSnapshot captures shard i's published state for persistence: the
 // series, their envelopes, and their insertion sequences (nil slices for
-// an empty shard). A non-nil capture runs while the shard core's read
-// lock is held — the same consistency seam retrieve.Core.Snapshot gives
-// single-core persistence.
-func (c *Cluster) ShardSnapshot(i int, capture func()) ([]series.Series, []lower.Envelope, []uint64) {
+// an empty shard).
+func (c *Cluster) ShardSnapshot(i int) ([]series.Series, []lower.Envelope, []uint64) {
 	snap := c.slots[i].snap.Load()
 	if snap.core == nil {
-		if capture != nil {
-			capture()
-		}
 		return nil, nil, nil
 	}
-	data, envs := snap.core.Snapshot(capture)
+	data, envs := snap.core.Snapshot()
 	seqs := append([]uint64(nil), snap.seqs...)
 	return data, envs, seqs
 }
 
 // NextSeq exposes the cluster's next insertion sequence for persistence.
 func (c *Cluster) NextSeq() uint64 { return c.nextSeq.Load() }
-
-// Fingerprint returns shard 0's backend fingerprint; all shards share
-// one configuration, so one fingerprint describes the cluster.
-func (c *Cluster) Fingerprint() string { return c.backends[0].Fingerprint() }

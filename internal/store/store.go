@@ -1,6 +1,6 @@
 // Package store implements the append-friendly segment persistence
-// format behind store-backed indexes, replacing whole-index gob: a
-// directory holds a JSON manifest, immutable sealed segments, one
+// format behind store-backed indexes — the package's one on-disk index
+// format: a directory holds a JSON manifest, immutable sealed segments, one
 // active (appendable) segment, and a tombstone log.
 //
 // Each segment is a pair of files. The hot file (seg-NNNNNNNN.hot)

@@ -3,11 +3,9 @@ package sdtw
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"sdtw/internal/retrieve"
 	"sdtw/internal/shard"
-	"sdtw/internal/store"
 )
 
 // ShardedIndex is the horizontally partitioned form of Index, built for
@@ -34,9 +32,8 @@ type ShardedIndex struct {
 
 	// Store-backed state (non-nil stores only for indexes opened with
 	// OpenShardedIndex / OpenShardedWindowedIndex): one segment store per
-	// shard; mutations write through, serialised by storeMu.
-	stores  []*store.Store
-	storeMu sync.Mutex
+	// shard; mutations write through.
+	stores *storeSet
 
 	// segRecords is Options.StoreSegmentRecords, kept for SaveStore
 	// (zero means the store default).

@@ -2,10 +2,10 @@ package sdtw
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 
 	"sdtw/internal/lower"
 	"sdtw/internal/retrieve"
@@ -15,13 +15,15 @@ import (
 	"sdtw/internal/vfs"
 )
 
-// This file is the segment-store face of the index: SaveStore exports a
-// warm index into an on-disk segment store, OpenIndex (and friends)
-// serve straight from one with only the hot sections — IDs, endpoints,
-// sketches, envelopes — resident, and Add/Remove on an opened index
-// write through to the store, so the collection scales past what the
-// raw values would occupy in RAM. Gob snapshots (Save/LoadIndex) remain
-// readable for one release; migrate converts them.
+// This file is the segment-store face of Index and ShardedIndex, the
+// package's one on-disk format: SaveStore exports a warm index into a
+// store, the Open* functions serve straight from one with only the hot
+// sections — IDs, endpoints, sketches, envelopes — resident, and
+// Add/Remove on an opened index write through to the store, so the
+// collection scales past what the raw values would occupy in RAM. A flat
+// index is the one-store case of the same code: its store sits at the
+// root, while a sharded index keeps one store per shard under
+// shard-0000, shard-0001, ….
 
 // Manifest metadata keys the index layer stores alongside the segment
 // format's own fields.
@@ -32,6 +34,12 @@ const (
 	storeMetaShards  = "shards"
 	storeMetaShard   = "shard"
 	storeMetaNextSeq = "next_seq"
+)
+
+// Index kinds recorded under storeMetaKind.
+const (
+	storeKindEngine   = "engine"
+	storeKindWindowed = "windowed"
 )
 
 // shardDirName names the per-shard store directory under a sharded
@@ -86,295 +94,304 @@ func withStoreFS(fsys vfs.FS) OpenOption {
 	return OpenOption{func(o *store.OpenOptions) { o.FS = fsys }}
 }
 
-// storeOpenOptions folds the public options onto the store layer's.
-func storeOpenOptions(open []OpenOption) store.OpenOptions {
-	var o store.OpenOptions
-	for _, op := range open {
-		op.apply(&o)
-	}
-	return o
+// storeSet is the segment-store state Index and ShardedIndex share: one
+// store per shard (a flat index holds exactly one, at the root), the
+// backend each was written under, and the mutex that serialises
+// write-through mutations. A nil *storeSet is an in-RAM index, on which
+// every store operation reports ErrNotStoreBacked.
+type storeSet struct {
+	mu       sync.Mutex
+	shards   []*store.Store
+	backends []retrieve.Backend
+	// sharded marks the shard-NNNN layout: errors name the shard, and
+	// StoreStats breaks health down per shard.
+	sharded bool
 }
 
-// SaveStore exports the index into a segment store rooted at dir
-// (created if missing; refused with ErrStoreExists if dir already holds
-// a store). Every series needs a non-empty ID — the store keys removals
-// on (ID, insertion sequence). The store persists everything the
-// cascade's pre-DP stages need hot (sketches, envelopes, endpoints) and
-// the raw values cold, so OpenIndex serves from it without loading
-// values into RAM. Like Save, export during a quiet period for a
-// point-in-time snapshot.
-func (ix *Index) SaveStore(dir string) error {
-	if ix.core.Cold() {
-		return fmt.Errorf("sdtw: SaveStore: the index already serves from a segment store: %w", ErrStoreBacked)
-	}
-	if !ix.core.Cascade() {
+// storeSpec is what an export writes into every manifest of a store set.
+type storeSpec struct {
+	kind        string
+	backend     retrieve.Backend // fingerprint and cascade of the exported index
+	sketchWidth int              // <= 0 selects DefaultSketchWidth
+	segRecords  int
+	radius      int    // windowed radius
+	sharded     bool   // shard-NNNN layout under the root
+	nextSeq     uint64 // the index's next insertion sequence
+}
+
+// storePart is one store's worth of an export: the series, their
+// envelopes, and their insertion sequences (nil means positions).
+type storePart struct {
+	data []Series
+	envs []lower.Envelope
+	seqs []uint64
+}
+
+// saveStore exports parts into a store set rooted at dir (created if
+// missing; refused with ErrStoreExists if it already holds a store): the
+// single part of a flat index at dir itself, the parts of a sharded one
+// under dir/shard-NNNN. A failed export removes dir if it created it.
+func saveStore(dir string, spec storeSpec, parts []storePart) (err error) {
+	if !spec.backend.Cascade() {
 		return fmt.Errorf("sdtw: SaveStore: a custom PointDistance has no admissible envelopes or sketches to persist: %w", ErrConfigMismatch)
 	}
-	w := ix.core.SketchWidth()
+	w := spec.sketchWidth
 	if w <= 0 {
 		w = DefaultSketchWidth
 	}
-	data, envs := ix.core.Snapshot(nil)
-	meta := map[string]string{storeMetaNextSeq: strconv.Itoa(len(data))}
-	if ix.engine != nil {
-		meta[storeMetaKind] = snapshotKindEngine
-	} else {
-		meta[storeMetaKind] = snapshotKindWindowed
-		meta[storeMetaLength] = strconv.Itoa(data[0].Len())
-		meta[storeMetaRadius] = strconv.Itoa(ix.radius)
-	}
-	created := dirMissing(dir)
-	st, err := store.Create(dir, store.Config{
-		Fingerprint:    ix.core.Fingerprint(),
-		SketchWidth:    w,
-		SegmentRecords: ix.segRecords,
-		Meta:           meta,
-	})
-	if err != nil {
-		return fmt.Errorf("sdtw: SaveStore: %w", err)
-	}
-	if err := writeStoreRecords(st, data, envs, nil, w); err != nil {
-		st.Close()
-		cleanupStoreDir(dir, created)
-		return fmt.Errorf("sdtw: SaveStore: %w", err)
-	}
-	if err := st.Close(); err != nil {
-		cleanupStoreDir(dir, created)
-		return fmt.Errorf("sdtw: SaveStore: %w", err)
-	}
-	return nil
-}
-
-// SaveStore exports the sharded index into a store root at dir: one
-// segment store per shard under shard-0000, shard-0001, …, each
-// carrying the shard count, its own shard number, and the cluster's
-// next insertion sequence, so OpenShardedIndex rebuilds the cluster —
-// including the cross-shard tie-break order — exactly.
-func (si *ShardedIndex) SaveStore(dir string) error {
-	if si.cluster.Cold() {
-		return fmt.Errorf("sdtw: SaveStore: the index already serves from segment stores: %w", ErrStoreBacked)
-	}
-	w := si.cluster.SketchWidth()
-	if w <= 0 {
-		w = DefaultSketchWidth
-	}
-	kind := snapshotKindWindowed
-	if si.engines != nil {
-		kind = snapshotKindEngine
-	}
-	parts := make([][]Series, si.shards)
-	envs := make([][]lower.Envelope, si.shards)
-	seqs := make([][]uint64, si.shards)
 	length := 0
-	for i := 0; i < si.shards; i++ {
-		parts[i], envs[i], seqs[i] = si.cluster.ShardSnapshot(i, nil)
-		if kind == snapshotKindWindowed && length == 0 && len(parts[i]) > 0 {
-			length = parts[i][0].Len()
-		}
-		if len(parts[i]) > 0 && len(envs[i]) != len(parts[i]) {
-			return fmt.Errorf("sdtw: SaveStore: a custom PointDistance has no admissible envelopes or sketches to persist: %w", ErrConfigMismatch)
+	for _, p := range parts {
+		if len(p.data) > 0 {
+			length = p.data[0].Len()
+			break
 		}
 	}
-	nextSeq := si.cluster.NextSeq()
-	created := dirMissing(dir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("sdtw: SaveStore: %w", err)
-	}
-	stores := make([]*store.Store, 0, si.shards)
-	fail := func(err error) error {
+	_, statErr := os.Stat(dir)
+	created := os.IsNotExist(statErr)
+	stores := make([]*store.Store, 0, len(parts))
+	defer func() {
 		for _, st := range stores {
-			st.Close()
+			if cerr := st.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
 		}
-		cleanupStoreDir(dir, created)
-		return fmt.Errorf("sdtw: SaveStore: %w", err)
-	}
-	for i := 0; i < si.shards; i++ {
+		if err != nil {
+			if created {
+				os.RemoveAll(dir)
+			}
+			err = fmt.Errorf("sdtw: SaveStore: %w", err)
+		}
+	}()
+	for i, p := range parts {
 		meta := map[string]string{
-			storeMetaKind:    kind,
-			storeMetaShards:  strconv.Itoa(si.shards),
-			storeMetaShard:   strconv.Itoa(i),
-			storeMetaNextSeq: strconv.FormatUint(nextSeq, 10),
+			storeMetaKind:    spec.kind,
+			storeMetaNextSeq: strconv.FormatUint(spec.nextSeq, 10),
 		}
-		if kind == snapshotKindWindowed {
+		if spec.kind == storeKindWindowed {
 			meta[storeMetaLength] = strconv.Itoa(length)
-			meta[storeMetaRadius] = strconv.Itoa(si.radius)
+			meta[storeMetaRadius] = strconv.Itoa(spec.radius)
 		}
-		st, err := store.Create(filepath.Join(dir, shardDirName(i)), store.Config{
-			Fingerprint:    si.cluster.Fingerprint(),
+		path := dir
+		if spec.sharded {
+			meta[storeMetaShards] = strconv.Itoa(len(parts))
+			meta[storeMetaShard] = strconv.Itoa(i)
+			path = filepath.Join(dir, shardDirName(i))
+		}
+		st, err := store.Create(path, store.Config{
+			Fingerprint:    spec.backend.Fingerprint(),
 			SketchWidth:    w,
-			SegmentRecords: si.segRecords,
+			SegmentRecords: spec.segRecords,
 			Meta:           meta,
 		})
 		if err != nil {
-			return fail(err)
-		}
-		stores = append(stores, st)
-		if err := writeStoreRecords(st, parts[i], envs[i], seqs[i], w); err != nil {
-			return fail(err)
-		}
-	}
-	for _, st := range stores {
-		if err := st.Close(); err != nil {
-			cleanupStoreDir(dir, created)
-			return fmt.Errorf("sdtw: SaveStore: %w", err)
-		}
-	}
-	return nil
-}
-
-// writeStoreRecords appends data into st, pairing each series with its
-// envelope and a sketch derived from it. seqs supplies the insertion
-// sequences (nil means positions).
-func writeStoreRecords(st *store.Store, data []Series, envs []lower.Envelope, seqs []uint64, w int) error {
-	for i, s := range data {
-		if s.ID == "" {
-			return fmt.Errorf("series %d: %w", i, ErrNoID)
-		}
-		sk, err := sketch.FromEnvelope(envs[i], w)
-		if err != nil {
-			return fmt.Errorf("series %q: %w", s.ID, err)
-		}
-		seq := uint64(i)
-		if seqs != nil {
-			seq = seqs[i]
-		}
-		rec := store.Record{
-			ID:       s.ID,
-			Label:    s.Label,
-			Seq:      seq,
-			N:        len(s.Values),
-			First:    s.Values[0],
-			Last:     s.Values[len(s.Values)-1],
-			Sketch:   sk,
-			Envelope: envs[i],
-			Values:   s.Values,
-		}
-		if err := st.Append(rec); err != nil {
 			return err
 		}
+		stores = append(stores, st)
+		for j, s := range p.data {
+			if s.ID == "" {
+				return fmt.Errorf("series %d: %w", j, ErrNoID)
+			}
+			seq := uint64(j)
+			if p.seqs != nil {
+				seq = p.seqs[j]
+			}
+			rec, err := storeRecord(s, seq, p.envs[j], w)
+			if err != nil {
+				return err
+			}
+			if err := st.Append(rec); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
-// dirMissing reports whether dir does not exist yet (so a failed export
-// may remove what it created without touching a pre-existing
-// directory).
-func dirMissing(dir string) bool {
-	_, err := os.Stat(dir)
-	return os.IsNotExist(err)
+// storeRecord pairs s with its envelope and the width-w sketch derived
+// from it: everything the cascade's pre-DP stages read hot, plus the raw
+// values kept cold.
+func storeRecord(s Series, seq uint64, env lower.Envelope, w int) (store.Record, error) {
+	sk, err := sketch.FromEnvelope(env, w)
+	if err != nil {
+		return store.Record{}, fmt.Errorf("series %q: %w", s.ID, err)
+	}
+	return store.Record{
+		ID:       s.ID,
+		Label:    s.Label,
+		Seq:      seq,
+		N:        len(s.Values),
+		First:    s.Values[0],
+		Last:     s.Values[len(s.Values)-1],
+		Sketch:   sk,
+		Envelope: env,
+		Values:   s.Values,
+	}, nil
 }
 
-// cleanupStoreDir best-effort removes a partially written store root,
-// but only if the export created the directory itself.
-func cleanupStoreDir(dir string, created bool) {
-	if created {
-		os.RemoveAll(dir)
+// rebuilt is the index configuration an Open function reconstructs
+// around a store set.
+type rebuilt struct {
+	backends []retrieve.Backend // one per store
+	engines  []*Engine          // one per store; nil for the windowed backend
+	radius   int                // effective windowed radius; -1 for the engine backend
+	workers  int
+	abandon  bool
+	nextSeq  uint64
+}
+
+// backendFactory checks that a store set's shard-0 store holds the kind
+// of index an Open function serves, under a configuration it can
+// rebuild, and rebuilds one backend for each of the set's n stores.
+type backendFactory func(st *store.Store, n int) (rebuilt, error)
+
+// wantKind refuses a store holding another kind of index.
+func wantKind(st *store.Store, kind string) error {
+	if got := st.Meta()[storeMetaKind]; got != kind {
+		return fmt.Errorf("sdtw: store holds a %q index, want %q: %w", got, kind, ErrConfigMismatch)
+	}
+	return nil
+}
+
+// engineBackends rebuilds sDTW engine backends under opts, which must
+// describe the engine configuration the store was written under.
+func engineBackends(opts Options) backendFactory {
+	return func(st *store.Store, n int) (rebuilt, error) {
+		if err := wantKind(st, storeKindEngine); err != nil {
+			return rebuilt{}, err
+		}
+		fp := engineFingerprint(opts)
+		if fp != st.Fingerprint() {
+			return rebuilt{}, fmt.Errorf("sdtw: store written under %q, opening under %q: %w",
+				st.Fingerprint(), fp, ErrConfigMismatch)
+		}
+		rb := rebuilt{
+			backends: make([]retrieve.Backend, n),
+			engines:  make([]*Engine, n),
+			radius:   -1,
+			workers:  indexWorkers(opts.Workers),
+			abandon:  !opts.DisableAbandon,
+		}
+		for i := range rb.backends {
+			rb.engines[i] = NewEngine(opts)
+			rb.backends[i] = retrieve.NewEngineBackend(rb.engines[i].inner, fp, opts.PointDistance != nil)
+		}
+		return rb, nil
 	}
 }
 
-// OpenIndex opens a segment store written by SaveStore (or migrate) for
-// an engine-backed index and serves from it: sketches, envelopes and
-// endpoints load eagerly, raw values stay on disk until a candidate
-// survives the lower-bound cascade. opts must describe the same engine
-// configuration the store was written under (ErrConfigMismatch
-// otherwise). Add and Remove write through to the store. Crash residue
-// (a torn active-segment tail, orphaned segment files) is repaired on
-// the way in; AllowQuarantine additionally opts into serving around
-// corrupt sealed segments.
-func OpenIndex(dir string, opts Options, open ...OpenOption) (*Index, error) {
-	st, err := store.OpenWith(dir, storeOpenOptions(open))
-	if err != nil {
-		return nil, fmt.Errorf("sdtw: %w", err)
+// windowedBackends rebuilds windowed backends from the length and radius
+// the store's manifest carries; the rebuilt fingerprint must reproduce
+// the stored one.
+func windowedBackends(st *store.Store, n int) (rebuilt, error) {
+	if err := wantKind(st, storeKindWindowed); err != nil {
+		return rebuilt{}, err
 	}
-	if kind := st.Meta()[storeMetaKind]; kind != snapshotKindEngine {
-		st.Close()
-		return nil, fmt.Errorf("sdtw: store holds a %q index, want %s (use OpenWindowedIndex): %w",
-			kind, snapshotKindEngine, ErrConfigMismatch)
-	}
-	if fp := engineFingerprint(opts); fp != st.Fingerprint() {
-		st.Close()
-		return nil, fmt.Errorf("sdtw: store written under %q, opening under %q: %w",
-			st.Fingerprint(), fp, ErrConfigMismatch)
-	}
-	engine := NewEngine(opts)
-	backend := retrieve.NewEngineBackend(engine.inner, engineFingerprint(opts), opts.PointDistance != nil)
-	ix, err := indexFromStore(st, backend, indexWorkers(opts.Workers), !opts.DisableAbandon)
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	ix.engine = engine
-	ix.radius = -1
-	return ix, nil
-}
-
-// OpenWindowedIndex opens a segment store written by SaveStore for a
-// windowed index; its configuration (length and radius) travels inside
-// the store's manifest, so no Options are needed.
-func OpenWindowedIndex(dir string, open ...OpenOption) (*Index, error) {
-	st, err := store.OpenWith(dir, storeOpenOptions(open))
-	if err != nil {
-		return nil, fmt.Errorf("sdtw: %w", err)
-	}
-	if kind := st.Meta()[storeMetaKind]; kind != snapshotKindWindowed {
-		st.Close()
-		return nil, fmt.Errorf("sdtw: store holds a %q index, want %s (use OpenIndex): %w",
-			kind, snapshotKindWindowed, ErrConfigMismatch)
-	}
-	length, radius, err := windowedStoreGeometry(st)
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	backend, eff, err := retrieve.NewWindowedBackend(length, radius)
-	if err != nil {
-		st.Close()
-		return nil, fmt.Errorf("sdtw: %w", err)
-	}
-	if fp := backend.Fingerprint(); fp != st.Fingerprint() {
-		st.Close()
-		return nil, fmt.Errorf("sdtw: store written under %q, rebuilt backend is %q: %w",
-			st.Fingerprint(), fp, ErrConfigMismatch)
-	}
-	ix, err := indexFromStore(st, backend, indexWorkers(0), true)
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	ix.radius = eff
-	return ix, nil
-}
-
-// windowedStoreGeometry parses a windowed store's length and radius
-// metadata.
-func windowedStoreGeometry(st *store.Store) (length, radius int, err error) {
-	length, err = strconv.Atoi(st.Meta()[storeMetaLength])
+	length, err := strconv.Atoi(st.Meta()[storeMetaLength])
 	if err != nil || length <= 0 {
-		return 0, 0, fmt.Errorf("sdtw: store has windowed length %q: %w", st.Meta()[storeMetaLength], ErrCorruptManifest)
+		return rebuilt{}, fmt.Errorf("sdtw: store has windowed length %q: %w", st.Meta()[storeMetaLength], ErrCorruptManifest)
 	}
-	radius, err = strconv.Atoi(st.Meta()[storeMetaRadius])
+	radius, err := strconv.Atoi(st.Meta()[storeMetaRadius])
 	if err != nil {
-		return 0, 0, fmt.Errorf("sdtw: store has windowed radius %q: %w", st.Meta()[storeMetaRadius], ErrCorruptManifest)
+		return rebuilt{}, fmt.Errorf("sdtw: store has windowed radius %q: %w", st.Meta()[storeMetaRadius], ErrCorruptManifest)
 	}
-	return length, radius, nil
+	rb := rebuilt{backends: make([]retrieve.Backend, n), workers: indexWorkers(0), abandon: true}
+	for i := range rb.backends {
+		b, eff, err := retrieve.NewWindowedBackend(length, radius)
+		if err != nil {
+			return rebuilt{}, fmt.Errorf("sdtw: %w", err)
+		}
+		if fp := b.Fingerprint(); fp != st.Fingerprint() {
+			return rebuilt{}, fmt.Errorf("sdtw: store written under %q, rebuilt backend is %q: %w",
+				st.Fingerprint(), fp, ErrConfigMismatch)
+		}
+		rb.backends[i], rb.radius = b, eff
+	}
+	return rb, nil
 }
 
-// indexFromStore builds the store-backed Index: cold series from the
-// store's live records, write-through bookkeeping from their sequences.
-func indexFromStore(st *store.Store, backend retrieve.Backend, workers int, abandon bool) (*Index, error) {
-	cold, seqs := coldRecords(st.Live())
-	core, err := retrieve.RestoreCold(backend, cold, st.SketchWidth(), workers, abandon)
-	if err != nil {
-		return nil, fmt.Errorf("sdtw: %w", err)
+// openStores opens the store set under dir — the root store of a flat
+// index, or every shard-NNNN store of a sharded one — and rebuilds its
+// backends through rebuild. The open is atomic: any missing, corrupt or
+// inconsistent store closes the ones already opened and fails the whole
+// open, so a cluster never comes up over a subset of its shards. Under
+// AllowQuarantine a store with corrupt sealed segments opens degraded
+// instead; structural failures (a missing shard, a corrupt manifest,
+// mixed configurations) still fail — quarantine bounds the damage, it
+// never papers over a store that cannot describe itself.
+func openStores(dir string, sharded bool, rebuild backendFactory, open []OpenOption) (*storeSet, rebuilt, error) {
+	var so store.OpenOptions
+	for _, op := range open {
+		op.apply(&so)
 	}
-	return &Index{core: core, store: st, seqs: seqs, nextSeq: storeNextSeq(st)}, nil
+	ss := &storeSet{sharded: sharded}
+	fail := func(err error) (*storeSet, rebuilt, error) {
+		ss.close()
+		return nil, rebuilt{}, err
+	}
+	n := 1 // a sharded root's count comes from shard 0's manifest
+	for i := 0; i < n; i++ {
+		path := dir
+		if sharded {
+			path = filepath.Join(dir, shardDirName(i))
+		}
+		st, err := store.OpenWith(path, so)
+		if err != nil {
+			return fail(ss.wrap("", i, err))
+		}
+		ss.shards = append(ss.shards, st)
+		if sharded && i == 0 {
+			if n, err = strconv.Atoi(st.Meta()[storeMetaShards]); err != nil || n < 1 {
+				return fail(fmt.Errorf("sdtw: shard 0 has shard count %q: %w", st.Meta()[storeMetaShards], ErrCorruptManifest))
+			}
+		}
+	}
+	st0 := ss.shards[0]
+	var nextSeq uint64
+	for i, st := range ss.shards {
+		// Every store must agree on the index configuration: a mixed
+		// directory (shards written by different indexes, or a shard
+		// swapped in from elsewhere) must refuse to open rather than serve
+		// merged results two configurations disagree on.
+		if st.Fingerprint() != st0.Fingerprint() {
+			return fail(fmt.Errorf("sdtw: shard %d written under %q, shard 0 under %q: %w",
+				i, st.Fingerprint(), st0.Fingerprint(), ErrConfigMismatch))
+		}
+		if got, want := st.Meta()[storeMetaKind], st0.Meta()[storeMetaKind]; got != want {
+			return fail(fmt.Errorf("sdtw: shard %d holds a %q index, shard 0 a %q: %w", i, got, want, ErrConfigMismatch))
+		}
+		if st.SketchWidth() != st0.SketchWidth() {
+			return fail(fmt.Errorf("sdtw: shard %d has sketch width %d, shard 0 %d: %w",
+				i, st.SketchWidth(), st0.SketchWidth(), ErrConfigMismatch))
+		}
+		if sharded {
+			if got, want := st.Meta()[storeMetaShards], st0.Meta()[storeMetaShards]; got != want {
+				return fail(fmt.Errorf("sdtw: shard %d expects %q shards, shard 0 %q: %w", i, got, want, ErrConfigMismatch))
+			}
+			if got := st.Meta()[storeMetaShard]; got != strconv.Itoa(i) {
+				return fail(fmt.Errorf("sdtw: directory %s holds shard %q: %w", shardDirName(i), got, ErrConfigMismatch))
+			}
+		}
+		// The larger of the manifest's recorded counter and one past the
+		// highest stored sequence (appends after the manifest was written).
+		nextSeq = max(nextSeq, st.NextSeq())
+		if v, err := strconv.ParseUint(st.Meta()[storeMetaNextSeq], 10, 64); err == nil {
+			nextSeq = max(nextSeq, v)
+		}
+	}
+	rb, err := rebuild(st0, len(ss.shards))
+	if err != nil {
+		return fail(err)
+	}
+	rb.nextSeq = nextSeq
+	ss.backends = rb.backends
+	return ss, rb, nil
 }
 
 // coldRecords lowers live store records onto the cascade's cold-series
-// form, pairing each ID with its insertion sequence.
-func coldRecords(live []*store.Record) ([]retrieve.ColdSeries, map[string]uint64) {
+// form, alongside their insertion sequences.
+func coldRecords(live []*store.Record) ([]retrieve.ColdSeries, []uint64) {
 	cold := make([]retrieve.ColdSeries, len(live))
-	seqs := make(map[string]uint64, len(live))
+	seqs := make([]uint64, len(live))
 	for i, rec := range live {
 		cold[i] = retrieve.ColdSeries{
 			ID:       rec.ID,
@@ -386,200 +403,256 @@ func coldRecords(live []*store.Record) ([]retrieve.ColdSeries, map[string]uint64
 			Sketch:   rec.Sketch,
 			Load:     rec.LoadValues,
 		}
-		seqs[rec.ID] = rec.Seq
+		seqs[i] = rec.Seq
 	}
 	return cold, seqs
 }
 
-// storeNextSeq resolves the next insertion sequence for a reopened
-// store: the larger of the manifest's recorded counter and one past the
-// highest stored sequence (appends after the manifest was written).
-func storeNextSeq(st *store.Store) uint64 {
-	next := st.NextSeq()
-	if v, err := strconv.ParseUint(st.Meta()[storeMetaNextSeq], 10, 64); err == nil && v > next {
-		next = v
+// openIndex opens a flat store set and serves it as a store-backed Index.
+func openIndex(dir string, rebuild backendFactory, open []OpenOption) (*Index, error) {
+	ss, rb, err := openStores(dir, false, rebuild, open)
+	if err != nil {
+		return nil, err
 	}
-	return next
+	st := ss.shards[0]
+	cold, seqs := coldRecords(st.Live())
+	core, err := retrieve.RestoreCold(rb.backends[0], cold, st.SketchWidth(), rb.workers, rb.abandon)
+	if err != nil {
+		ss.close()
+		return nil, fmt.Errorf("sdtw: %w", err)
+	}
+	ix := &Index{core: core, radius: rb.radius, stores: ss, seqs: make(map[string]uint64, len(cold)), nextSeq: rb.nextSeq}
+	for i, cs := range cold {
+		ix.seqs[cs.ID] = seqs[i]
+	}
+	if rb.engines != nil {
+		ix.engine = rb.engines[0]
+	}
+	return ix, nil
 }
 
-// addStore is the write-through Add of a store-backed Index.
-func (ix *Index) addStore(s Series) error {
+// openShardedIndex opens a sharded store set and serves it as a
+// store-backed ShardedIndex, restoring every shard's insertion sequences
+// so the cross-shard tie-break order survives the round trip exactly.
+func openShardedIndex(dir string, rebuild backendFactory, open []OpenOption) (*ShardedIndex, error) {
+	ss, rb, err := openStores(dir, true, rebuild, open)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([][]retrieve.ColdSeries, len(ss.shards))
+	seqs := make([][]uint64, len(ss.shards))
+	for i, st := range ss.shards {
+		parts[i], seqs[i] = coldRecords(st.Live())
+	}
+	cluster, err := shard.RestoreCold(shard.Config{
+		Shards:      len(ss.shards),
+		NewBackend:  func(i int) (retrieve.Backend, error) { return rb.backends[i], nil },
+		Workers:     rb.workers,
+		Abandon:     rb.abandon,
+		SketchWidth: ss.shards[0].SketchWidth(),
+	}, parts, seqs, rb.nextSeq)
+	if err != nil {
+		ss.close()
+		return nil, fmt.Errorf("sdtw: %w", err)
+	}
+	return &ShardedIndex{cluster: cluster, engines: rb.engines, radius: rb.radius, shards: len(ss.shards), stores: ss}, nil
+}
+
+// wrap prefixes err with the operation and, in a sharded set, the shard.
+func (ss *storeSet) wrap(op string, i int, err error) error {
+	if op != "" {
+		op += ": "
+	}
+	if ss.sharded {
+		return fmt.Errorf("sdtw: %sshard %d: %w", op, i, err)
+	}
+	return fmt.Errorf("sdtw: %s%w", op, err)
+}
+
+// add writes s through to store sh. The envelope — computed exactly as
+// the in-RAM core computes it: same values, same backend radius — and
+// the sketch are built before the lock. Under it, admit puts s in RAM
+// and returns its insertion sequence, and if the append fails undo
+// takes it back out, so RAM and disk agree.
+func (ss *storeSet) add(sh int, s Series, admit func() (uint64, error), undo func()) error {
 	if s.ID == "" {
 		return fmt.Errorf("sdtw: Add: a store-backed index needs non-empty series IDs: %w", ErrNoID)
 	}
-	ix.storeMu.Lock()
-	defer ix.storeMu.Unlock()
-	if err := ix.core.Add(s); err != nil {
-		return fmt.Errorf("sdtw: Add: %w", err)
+	if len(s.Values) == 0 {
+		return fmt.Errorf("sdtw: Add: series %q: %w", s.ID, ErrEmptySeries)
 	}
-	env := ix.core.Envelope(ix.core.Len() - 1)
-	err := func() error {
-		sk, err := sketch.FromEnvelope(env, ix.store.SketchWidth())
-		if err != nil {
-			return err
-		}
-		return ix.store.Append(store.Record{
-			ID:       s.ID,
-			Label:    s.Label,
-			Seq:      ix.nextSeq,
-			N:        len(s.Values),
-			First:    s.Values[0],
-			Last:     s.Values[len(s.Values)-1],
-			Sketch:   sk,
-			Envelope: env,
-			Values:   s.Values,
-		})
-	}()
+	st := ss.shards[sh]
+	env := lower.NewEnvelope(s.Values, ss.backends[sh].EnvelopeRadius(len(s.Values)))
+	rec, err := storeRecord(s, 0, env, st.SketchWidth())
 	if err != nil {
-		// Keep RAM and disk agreeing: undo the admission (the series was
-		// just added on top of a non-empty collection, so this cannot hit
-		// the last-series refusal).
-		ix.core.Remove(s.ID)
 		return fmt.Errorf("sdtw: Add: %w", err)
 	}
-	ix.seqs[s.ID] = ix.nextSeq
-	ix.nextSeq++
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if rec.Seq, err = admit(); err != nil {
+		return fmt.Errorf("sdtw: Add: %w", err)
+	}
+	if err := st.Append(rec); err != nil {
+		undo()
+		return fmt.Errorf("sdtw: Add: %w", err)
+	}
 	return nil
 }
 
-// removeStore is the write-through Remove of a store-backed Index.
-func (ix *Index) removeStore(id string) error {
-	ix.storeMu.Lock()
-	defer ix.storeMu.Unlock()
-	if err := ix.core.Remove(id); err != nil {
+// remove drops id from RAM through drop, which returns the insertion
+// sequence the series held, and tombstones it in store sh.
+func (ss *storeSet) remove(sh int, id string, drop func() (uint64, error)) error {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	seq, err := drop()
+	if err != nil {
 		return fmt.Errorf("sdtw: Remove: %w", err)
 	}
-	seq := ix.seqs[id]
-	if err := ix.store.Tombstone(id, seq); err != nil {
+	if err := ss.shards[sh].Tombstone(id, seq); err != nil {
 		return fmt.Errorf("sdtw: Remove: %w", err)
 	}
-	delete(ix.seqs, id)
 	return nil
 }
 
-// StoreBacked reports whether the index serves from a segment store.
-func (ix *Index) StoreBacked() bool { return ix.store != nil }
-
-// Compact rewrites the store's live records into fresh segments,
-// dropping tombstoned space. Searches keep serving throughout.
-func (ix *Index) Compact() error {
-	if ix.store == nil {
-		return fmt.Errorf("sdtw: Compact: %w", ErrNotStoreBacked)
+// each runs fn on every store under the lock, stopping at the first
+// error.
+func (ss *storeSet) each(op string, fn func(*store.Store) error) error {
+	if ss == nil {
+		return fmt.Errorf("sdtw: %s: %w", op, ErrNotStoreBacked)
 	}
-	ix.storeMu.Lock()
-	defer ix.storeMu.Unlock()
-	if err := ix.store.Compact(); err != nil {
-		return fmt.Errorf("sdtw: Compact: %w", err)
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	for i, st := range ss.shards {
+		if err := fn(st); err != nil {
+			return ss.wrap(op, i, err)
+		}
 	}
 	return nil
 }
 
-// StoreStats returns the segment store's counters, including the
-// health its open reported (recovered, swept, quarantined).
-func (ix *Index) StoreStats() (StoreStats, error) {
-	if ix.store == nil {
+// stats aggregates the stores' counters and health.
+func (ss *storeSet) stats() (StoreStats, error) {
+	if ss == nil {
 		return StoreStats{}, fmt.Errorf("sdtw: StoreStats: %w", ErrNotStoreBacked)
 	}
-	s := ix.store.Stats()
-	return StoreStats{
-		Segments: s.Segments, LiveRecords: s.LiveRecords, Tombstones: s.Tombstones,
-		SketchWidth: s.SketchWidth, Health: ix.store.Health(),
-	}, nil
+	var out StoreStats
+	if ss.sharded {
+		out.ShardHealth = make([]StoreHealth, len(ss.shards))
+	}
+	for i, st := range ss.shards {
+		s := st.Stats()
+		out.Segments += s.Segments
+		out.LiveRecords += s.LiveRecords
+		out.Tombstones += s.Tombstones
+		out.SketchWidth = s.SketchWidth
+		h := st.Health()
+		if ss.sharded {
+			out.ShardHealth[i] = h
+		}
+		out.Health.Quarantined += h.Quarantined
+		out.Health.QuarantinedRecords += h.QuarantinedRecords
+		out.Health.RecoveredRecords += h.RecoveredRecords
+		out.Health.TruncatedBytes += h.TruncatedBytes
+		out.Health.OrphansSwept += h.OrphansSwept
+	}
+	return out, nil
 }
 
-// SyncStore flushes the store's active segment to stable storage: once
-// it returns, every Append acknowledged before the call survives a
-// power cut. Remove needs no barrier — tombstones are synced as they
-// are appended.
-func (ix *Index) SyncStore() error {
-	if ix.store == nil {
-		return fmt.Errorf("sdtw: SyncStore: %w", ErrNotStoreBacked)
-	}
-	ix.storeMu.Lock()
-	defer ix.storeMu.Unlock()
-	if err := ix.store.Sync(); err != nil {
-		return fmt.Errorf("sdtw: SyncStore: %w", err)
-	}
-	return nil
-}
-
-// CloseStore releases the store's file handles. Searches may keep
-// running against already-materialised values, but candidates whose
-// values were never loaded will fail; close after draining.
-func (ix *Index) CloseStore() error {
-	if ix.store == nil {
+// close closes every store, reporting the first failure.
+func (ss *storeSet) close() error {
+	if ss == nil {
 		return fmt.Errorf("sdtw: CloseStore: %w", ErrNotStoreBacked)
 	}
-	ix.storeMu.Lock()
-	defer ix.storeMu.Unlock()
-	if err := ix.store.Close(); err != nil {
-		return fmt.Errorf("sdtw: CloseStore: %w", err)
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	var first error
+	for i, st := range ss.shards {
+		if err := st.Close(); err != nil && first == nil {
+			first = ss.wrap("CloseStore", i, err)
+		}
 	}
-	return nil
+	return first
 }
 
-// openShardStores opens every per-shard store under dir, atomically:
-// any missing, corrupt or inconsistent shard closes the ones already
-// opened and fails the whole open — a cluster must never come up over a
-// subset of its shards. Under so.AllowQuarantine a shard with corrupt
-// sealed segments opens degraded (its survivors serve, possibly none)
-// instead of failing the whole open; structural failures (a missing
-// shard, a corrupt manifest, mixed configurations) still fail
-// atomically — quarantine bounds the damage, it never papers over a
-// store that cannot describe itself.
-func openShardStores(dir string, so store.OpenOptions) ([]*store.Store, string, uint64, error) {
-	st0, err := store.OpenWith(filepath.Join(dir, shardDirName(0)), so)
-	if err != nil {
-		return nil, "", 0, fmt.Errorf("sdtw: shard 0: %w", err)
+// SaveStore exports the index into a segment store rooted at dir
+// (created if missing; refused with ErrStoreExists if dir already holds
+// a store). Every series needs a non-empty ID — the store keys removals
+// on (ID, insertion sequence). The store persists everything the
+// cascade's pre-DP stages need hot (sketches, envelopes, endpoints) and
+// the raw values cold, so OpenIndex serves from it without loading
+// values into RAM. Export during a quiet period for a point-in-time
+// snapshot.
+func (ix *Index) SaveStore(dir string) error {
+	if ix.core.Cold() {
+		return fmt.Errorf("sdtw: SaveStore: the index already serves from a segment store: %w", ErrStoreBacked)
 	}
-	stores := []*store.Store{st0}
-	fail := func(err error) ([]*store.Store, string, uint64, error) {
-		for _, st := range stores {
-			st.Close()
-		}
-		return nil, "", 0, err
+	data, envs := ix.core.Snapshot()
+	return saveStore(dir, storeSpec{
+		kind:        ix.kind(),
+		backend:     ix.core.Backend(),
+		sketchWidth: ix.core.SketchWidth(),
+		segRecords:  ix.segRecords,
+		radius:      ix.radius,
+		nextSeq:     uint64(len(data)),
+	}, []storePart{{data: data, envs: envs}})
+}
+
+// SaveStore exports the sharded index into a store root at dir: one
+// segment store per shard under shard-0000, shard-0001, …, each
+// carrying the shard count, its own shard number, and the cluster's
+// next insertion sequence, so OpenShardedIndex rebuilds the cluster —
+// including the cross-shard tie-break order — exactly.
+func (si *ShardedIndex) SaveStore(dir string) error {
+	if si.cluster.Cold() {
+		return fmt.Errorf("sdtw: SaveStore: the index already serves from segment stores: %w", ErrStoreBacked)
 	}
-	shards, err := strconv.Atoi(st0.Meta()[storeMetaShards])
-	if err != nil || shards < 1 {
-		return fail(fmt.Errorf("sdtw: shard 0 has shard count %q: %w", st0.Meta()[storeMetaShards], ErrCorruptManifest))
+	parts := make([]storePart, si.shards)
+	for i := range parts {
+		parts[i].data, parts[i].envs, parts[i].seqs = si.cluster.ShardSnapshot(i)
 	}
-	for i := 1; i < shards; i++ {
-		st, err := store.OpenWith(filepath.Join(dir, shardDirName(i)), so)
-		if err != nil {
-			return fail(fmt.Errorf("sdtw: shard %d: %w", i, err))
-		}
-		stores = append(stores, st)
+	kind := storeKindWindowed
+	if si.engines != nil {
+		kind = storeKindEngine
 	}
-	kind := st0.Meta()[storeMetaKind]
-	nextSeq := uint64(0)
-	for i, st := range stores {
-		// Every shard store must agree on the cluster configuration: a
-		// mixed-config directory (shards written by different indexes, or
-		// a shard swapped in from elsewhere) must refuse to open rather
-		// than serve merged results two configurations disagree on.
-		if st.Fingerprint() != st0.Fingerprint() {
-			return fail(fmt.Errorf("sdtw: shard %d written under %q, shard 0 under %q: %w",
-				i, st.Fingerprint(), st0.Fingerprint(), ErrConfigMismatch))
-		}
-		if got := st.Meta()[storeMetaKind]; got != kind {
-			return fail(fmt.Errorf("sdtw: shard %d holds a %q index, shard 0 a %q: %w", i, got, kind, ErrConfigMismatch))
-		}
-		if got := st.Meta()[storeMetaShards]; got != st0.Meta()[storeMetaShards] {
-			return fail(fmt.Errorf("sdtw: shard %d expects %q shards, shard 0 %q: %w",
-				i, got, st0.Meta()[storeMetaShards], ErrConfigMismatch))
-		}
-		if got := st.Meta()[storeMetaShard]; got != strconv.Itoa(i) {
-			return fail(fmt.Errorf("sdtw: directory %s holds shard %q: %w", shardDirName(i), got, ErrConfigMismatch))
-		}
-		if st.SketchWidth() != st0.SketchWidth() {
-			return fail(fmt.Errorf("sdtw: shard %d has sketch width %d, shard 0 %d: %w",
-				i, st.SketchWidth(), st0.SketchWidth(), ErrConfigMismatch))
-		}
-		if next := storeNextSeq(st); next > nextSeq {
-			nextSeq = next
-		}
+	return saveStore(dir, storeSpec{
+		kind:        kind,
+		backend:     si.cluster.Backend(0),
+		sketchWidth: si.cluster.SketchWidth(),
+		segRecords:  si.segRecords,
+		radius:      si.radius,
+		sharded:     true,
+		// Captured after the shard snapshots, so every saved sequence is
+		// below it.
+		nextSeq: si.cluster.NextSeq(),
+	}, parts)
+}
+
+// kind names the index's backend as the store manifest records it.
+func (ix *Index) kind() string {
+	if ix.engine != nil {
+		return storeKindEngine
 	}
-	return stores, kind, nextSeq, nil
+	return storeKindWindowed
+}
+
+// OpenIndex opens a segment store written by SaveStore for an
+// engine-backed index and serves from it: sketches, envelopes and
+// endpoints load eagerly, raw values stay on disk until a candidate
+// survives the lower-bound cascade. opts must describe the same engine
+// configuration the store was written under (ErrConfigMismatch
+// otherwise). Add and Remove write through to the store. Crash residue
+// (a torn active-segment tail, orphaned segment files) is repaired on
+// the way in; AllowQuarantine additionally opts into serving around
+// corrupt sealed segments.
+func OpenIndex(dir string, opts Options, open ...OpenOption) (*Index, error) {
+	return openIndex(dir, engineBackends(opts), open)
+}
+
+// OpenWindowedIndex opens a segment store written by SaveStore for a
+// windowed index; its configuration (length and radius) travels inside
+// the store's manifest, so no Options are needed.
+func OpenWindowedIndex(dir string, open ...OpenOption) (*Index, error) {
+	return openIndex(dir, windowedBackends, open)
 }
 
 // OpenShardedIndex opens a sharded store root written by
@@ -590,178 +663,82 @@ func openShardStores(dir string, so store.OpenOptions) ([]*store.Store, string, 
 // with corrupt sealed segments serves its survivors (per-shard damage
 // surfaces in StoreStats.ShardHealth).
 func OpenShardedIndex(dir string, opts Options, open ...OpenOption) (*ShardedIndex, error) {
-	stores, kind, nextSeq, err := openShardStores(dir, storeOpenOptions(open))
-	if err != nil {
-		return nil, err
-	}
-	closeAll := func() {
-		for _, st := range stores {
-			st.Close()
-		}
-	}
-	if kind != snapshotKindEngine {
-		closeAll()
-		return nil, fmt.Errorf("sdtw: store holds a %q sharded index, want %s (use OpenShardedWindowedIndex): %w",
-			kind, snapshotKindEngine, ErrConfigMismatch)
-	}
-	fp := engineFingerprint(opts)
-	if fp != stores[0].Fingerprint() {
-		closeAll()
-		return nil, fmt.Errorf("sdtw: store written under %q, opening under %q: %w",
-			stores[0].Fingerprint(), fp, ErrConfigMismatch)
-	}
-	engines := make([]*Engine, len(stores))
-	cfg := shard.Config{
-		Shards: len(stores),
-		NewBackend: func(i int) (retrieve.Backend, error) {
-			engines[i] = NewEngine(opts)
-			return retrieve.NewEngineBackend(engines[i].inner, fp, opts.PointDistance != nil), nil
-		},
-		Workers:     indexWorkers(opts.Workers),
-		Abandon:     !opts.DisableAbandon,
-		SketchWidth: stores[0].SketchWidth(),
-	}
-	si, err := shardedFromStores(cfg, stores, nextSeq)
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	si.engines = engines
-	si.radius = -1
-	return si, nil
+	return openShardedIndex(dir, engineBackends(opts), open)
 }
 
 // OpenShardedWindowedIndex opens a sharded store root written by
 // ShardedIndex.SaveStore for a windowed cluster; length and radius
 // travel inside the manifests.
 func OpenShardedWindowedIndex(dir string, open ...OpenOption) (*ShardedIndex, error) {
-	stores, kind, nextSeq, err := openShardStores(dir, storeOpenOptions(open))
-	if err != nil {
-		return nil, err
-	}
-	closeAll := func() {
-		for _, st := range stores {
-			st.Close()
-		}
-	}
-	if kind != snapshotKindWindowed {
-		closeAll()
-		return nil, fmt.Errorf("sdtw: store holds a %q sharded index, want %s (use OpenShardedIndex): %w",
-			kind, snapshotKindWindowed, ErrConfigMismatch)
-	}
-	length, radius, err := windowedStoreGeometry(stores[0])
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	eff := -1
-	var fpErr error
-	cfg := shard.Config{
-		Shards: len(stores),
-		NewBackend: func(i int) (retrieve.Backend, error) {
-			b, e, err := retrieve.NewWindowedBackend(length, radius)
-			if err != nil {
-				return nil, err
-			}
-			eff = e
-			if fp := b.Fingerprint(); fp != stores[0].Fingerprint() && fpErr == nil {
-				fpErr = fmt.Errorf("sdtw: store written under %q, rebuilt backend is %q: %w",
-					stores[0].Fingerprint(), fp, ErrConfigMismatch)
-			}
-			return b, nil
-		},
-		Workers:     indexWorkers(0),
-		Abandon:     true,
-		SketchWidth: stores[0].SketchWidth(),
-	}
-	si, err := shardedFromStores(cfg, stores, nextSeq)
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	if fpErr != nil {
-		si.CloseStore()
-		return nil, fpErr
-	}
-	si.radius = eff
-	return si, nil
+	return openShardedIndex(dir, windowedBackends, open)
 }
 
-// shardedFromStores rebuilds the cluster from the per-shard stores'
-// live records.
-func shardedFromStores(cfg shard.Config, stores []*store.Store, nextSeq uint64) (*ShardedIndex, error) {
-	parts := make([][]retrieve.ColdSeries, len(stores))
-	seqs := make([][]uint64, len(stores))
-	for i, st := range stores {
-		live := st.Live()
-		cold, _ := coldRecords(live)
-		parts[i] = cold
-		seqs[i] = make([]uint64, len(live))
-		for j, rec := range live {
-			seqs[i][j] = rec.Seq
+// addStore is the write-through Add of a store-backed Index. The core
+// orders by position, so the insertion sequences the store keys
+// tombstones on are kept beside it.
+func (ix *Index) addStore(s Series) error {
+	return ix.stores.add(0, s, func() (uint64, error) {
+		if err := ix.core.Add(s); err != nil {
+			return 0, err
 		}
-	}
-	cluster, err := shard.RestoreCold(cfg, parts, seqs, nextSeq)
-	if err != nil {
-		return nil, fmt.Errorf("sdtw: %w", err)
-	}
-	return &ShardedIndex{cluster: cluster, shards: len(stores), stores: stores}, nil
+		seq := ix.nextSeq
+		ix.seqs[s.ID] = seq
+		ix.nextSeq++
+		return seq, nil
+	}, func() {
+		// s was just added on top of a non-empty collection, so this
+		// cannot hit the last-series refusal.
+		ix.core.Remove(s.ID)
+		delete(ix.seqs, s.ID)
+		ix.nextSeq--
+	})
 }
+
+// removeStore is the write-through Remove of a store-backed Index.
+func (ix *Index) removeStore(id string) error {
+	return ix.stores.remove(0, id, func() (uint64, error) {
+		if err := ix.core.Remove(id); err != nil {
+			return 0, err
+		}
+		seq := ix.seqs[id]
+		delete(ix.seqs, id)
+		return seq, nil
+	})
+}
+
+// StoreBacked reports whether the index serves from a segment store.
+func (ix *Index) StoreBacked() bool { return ix.stores != nil }
+
+// Compact rewrites the store's live records into fresh segments,
+// dropping tombstoned space. Searches keep serving throughout.
+func (ix *Index) Compact() error { return ix.stores.each("Compact", (*store.Store).Compact) }
+
+// StoreStats returns the segment store's counters, including the
+// health its open reported (recovered, swept, quarantined).
+func (ix *Index) StoreStats() (StoreStats, error) { return ix.stores.stats() }
+
+// SyncStore flushes the store's active segment to stable storage: once
+// it returns, every Append acknowledged before the call survives a
+// power cut. Remove needs no barrier — tombstones are synced as they
+// are appended.
+func (ix *Index) SyncStore() error { return ix.stores.each("SyncStore", (*store.Store).Sync) }
+
+// CloseStore releases the store's file handles. Searches may keep
+// running against already-materialised values, but candidates whose
+// values were never loaded will fail; close after draining.
+func (ix *Index) CloseStore() error { return ix.stores.close() }
 
 // addStore is the write-through Add of a store-backed ShardedIndex.
 func (si *ShardedIndex) addStore(s Series) error {
-	if s.ID == "" {
-		return fmt.Errorf("sdtw: Add: %w", ErrNoID)
-	}
-	sh := shard.Route(s.ID, si.shards)
-	st := si.stores[sh]
-	// Recompute the envelope exactly as the shard core will: same
-	// values, same backend radius, same deterministic construction. The
-	// O(n) envelope and sketch work runs before the store lock.
-	if len(s.Values) == 0 {
-		return fmt.Errorf("sdtw: Add: series %q: %w", s.ID, ErrEmptySeries)
-	}
-	env := lower.NewEnvelope(s.Values, si.cluster.Backend(sh).EnvelopeRadius(len(s.Values)))
-	sk, err := sketch.FromEnvelope(env, st.SketchWidth())
-	if err != nil {
-		return fmt.Errorf("sdtw: Add: %w", err)
-	}
-	si.storeMu.Lock()
-	defer si.storeMu.Unlock()
-	seq, err := si.cluster.Add(s)
-	if err != nil {
-		return fmt.Errorf("sdtw: Add: %w", err)
-	}
-	if err := st.Append(store.Record{
-		ID:       s.ID,
-		Label:    s.Label,
-		Seq:      seq,
-		N:        len(s.Values),
-		First:    s.Values[0],
-		Last:     s.Values[len(s.Values)-1],
-		Sketch:   sk,
-		Envelope: env,
-		Values:   s.Values,
-	}); err != nil {
-		si.cluster.Remove(s.ID) // keep RAM and disk agreeing
-		return fmt.Errorf("sdtw: Add: %w", err)
-	}
-	return nil
+	return si.stores.add(shard.Route(s.ID, si.shards), s,
+		func() (uint64, error) { return si.cluster.Add(s) },
+		func() { si.cluster.Remove(s.ID) })
 }
 
 // removeStore is the write-through Remove of a store-backed
 // ShardedIndex.
 func (si *ShardedIndex) removeStore(id string) error {
-	si.storeMu.Lock()
-	defer si.storeMu.Unlock()
-	seq, err := si.cluster.Remove(id)
-	if err != nil {
-		return fmt.Errorf("sdtw: Remove: %w", err)
-	}
-	if err := si.stores[shard.Route(id, si.shards)].Tombstone(id, seq); err != nil {
-		return fmt.Errorf("sdtw: Remove: %w", err)
-	}
-	return nil
+	return si.stores.remove(shard.Route(id, si.shards), id, func() (uint64, error) { return si.cluster.Remove(id) })
 }
 
 // StoreBacked reports whether the index serves from segment stores.
@@ -770,185 +747,17 @@ func (si *ShardedIndex) StoreBacked() bool { return si.stores != nil }
 // Compact rewrites every shard store's live records into fresh
 // segments, dropping tombstoned space. Searches keep serving
 // throughout.
-func (si *ShardedIndex) Compact() error {
-	if si.stores == nil {
-		return fmt.Errorf("sdtw: Compact: %w", ErrNotStoreBacked)
-	}
-	si.storeMu.Lock()
-	defer si.storeMu.Unlock()
-	for i, st := range si.stores {
-		if err := st.Compact(); err != nil {
-			return fmt.Errorf("sdtw: Compact: shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
+func (si *ShardedIndex) Compact() error { return si.stores.each("Compact", (*store.Store).Compact) }
 
 // StoreStats aggregates the per-shard stores' counters and health;
 // ShardHealth carries the per-shard breakdown.
-func (si *ShardedIndex) StoreStats() (StoreStats, error) {
-	if si.stores == nil {
-		return StoreStats{}, fmt.Errorf("sdtw: StoreStats: %w", ErrNotStoreBacked)
-	}
-	out := StoreStats{ShardHealth: make([]StoreHealth, len(si.stores))}
-	for i, st := range si.stores {
-		s := st.Stats()
-		out.Segments += s.Segments
-		out.LiveRecords += s.LiveRecords
-		out.Tombstones += s.Tombstones
-		out.SketchWidth = s.SketchWidth
-		h := st.Health()
-		out.ShardHealth[i] = h
-		out.Health.Quarantined += h.Quarantined
-		out.Health.QuarantinedRecords += h.QuarantinedRecords
-		out.Health.RecoveredRecords += h.RecoveredRecords
-		out.Health.TruncatedBytes += h.TruncatedBytes
-		out.Health.OrphansSwept += h.OrphansSwept
-	}
-	return out, nil
-}
+func (si *ShardedIndex) StoreStats() (StoreStats, error) { return si.stores.stats() }
 
 // SyncStore flushes every shard store's active segment to stable
 // storage: once it returns, every Append acknowledged before the call
 // survives a power cut.
-func (si *ShardedIndex) SyncStore() error {
-	if si.stores == nil {
-		return fmt.Errorf("sdtw: SyncStore: %w", ErrNotStoreBacked)
-	}
-	si.storeMu.Lock()
-	defer si.storeMu.Unlock()
-	for i, st := range si.stores {
-		if err := st.Sync(); err != nil {
-			return fmt.Errorf("sdtw: SyncStore: shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
+func (si *ShardedIndex) SyncStore() error { return si.stores.each("SyncStore", (*store.Store).Sync) }
 
 // CloseStore releases every shard store's file handles; close after
 // draining searches.
-func (si *ShardedIndex) CloseStore() error {
-	if si.stores == nil {
-		return fmt.Errorf("sdtw: CloseStore: %w", ErrNotStoreBacked)
-	}
-	si.storeMu.Lock()
-	defer si.storeMu.Unlock()
-	var first error
-	for i, st := range si.stores {
-		if err := st.Close(); err != nil && first == nil {
-			first = fmt.Errorf("sdtw: CloseStore: shard %d: %w", i, err)
-		}
-	}
-	return first
-}
-
-// MigrateStore converts a gob snapshot written by Index.Save into a
-// segment store at dir. The snapshot's fingerprint is copied verbatim
-// and its envelopes are trusted, so no Options are needed — the store
-// opens under exactly the options the snapshot was written under.
-// sketchWidth <= 0 selects DefaultSketchWidth. Cached salient features
-// are dropped: the store keeps only what the cascade needs hot, and the
-// engine's feature cache refills read-through on first evaluation.
-func MigrateStore(r io.Reader, dir string, sketchWidth int) error {
-	snap, err := decodeSnapshot(r)
-	if err != nil {
-		return err
-	}
-	if len(snap.Envelopes) != len(snap.Series) {
-		return fmt.Errorf("sdtw: migrate: snapshot has %d envelopes for %d series (a custom PointDistance cannot be store-backed): %w",
-			len(snap.Envelopes), len(snap.Series), ErrConfigMismatch)
-	}
-	w := sketchWidth
-	if w <= 0 {
-		w = DefaultSketchWidth
-	}
-	meta := map[string]string{
-		storeMetaKind:    snap.Kind,
-		storeMetaNextSeq: strconv.Itoa(len(snap.Series)),
-	}
-	if snap.Kind == snapshotKindWindowed {
-		meta[storeMetaLength] = strconv.Itoa(snap.Length)
-		meta[storeMetaRadius] = strconv.Itoa(snap.Radius)
-	}
-	created := dirMissing(dir)
-	st, err := store.Create(dir, store.Config{
-		Fingerprint: snap.Fingerprint,
-		SketchWidth: w,
-		Meta:        meta,
-	})
-	if err != nil {
-		return fmt.Errorf("sdtw: migrate: %w", err)
-	}
-	if err := writeStoreRecords(st, snap.Series, snap.Envelopes, nil, w); err != nil {
-		st.Close()
-		cleanupStoreDir(dir, created)
-		return fmt.Errorf("sdtw: migrate: %w", err)
-	}
-	if err := st.Close(); err != nil {
-		cleanupStoreDir(dir, created)
-		return fmt.Errorf("sdtw: migrate: %w", err)
-	}
-	return nil
-}
-
-// MigrateShardedStore converts a gob snapshot written by
-// ShardedIndex.Save into a sharded store root at dir (one per-shard
-// store, preserving insertion sequences). sketchWidth <= 0 selects
-// DefaultSketchWidth.
-func MigrateShardedStore(r io.Reader, dir string, sketchWidth int) error {
-	snap, err := decodeShardedSnapshot(r)
-	if err != nil {
-		return err
-	}
-	w := sketchWidth
-	if w <= 0 {
-		w = DefaultSketchWidth
-	}
-	created := dirMissing(dir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("sdtw: migrate: %w", err)
-	}
-	var stores []*store.Store
-	fail := func(err error) error {
-		for _, st := range stores {
-			st.Close()
-		}
-		cleanupStoreDir(dir, created)
-		return fmt.Errorf("sdtw: migrate: %w", err)
-	}
-	for i := 0; i < snap.Shards; i++ {
-		if len(snap.ShardEnvelopes[i]) != len(snap.ShardSeries[i]) {
-			return fail(fmt.Errorf("shard %d has %d envelopes for %d series (a custom PointDistance cannot be store-backed): %w",
-				i, len(snap.ShardEnvelopes[i]), len(snap.ShardSeries[i]), ErrConfigMismatch))
-		}
-		meta := map[string]string{
-			storeMetaKind:    snap.Kind,
-			storeMetaShards:  strconv.Itoa(snap.Shards),
-			storeMetaShard:   strconv.Itoa(i),
-			storeMetaNextSeq: strconv.FormatUint(snap.NextSeq, 10),
-		}
-		if snap.Kind == snapshotKindWindowed {
-			meta[storeMetaLength] = strconv.Itoa(snap.Length)
-			meta[storeMetaRadius] = strconv.Itoa(snap.Radius)
-		}
-		st, err := store.Create(filepath.Join(dir, shardDirName(i)), store.Config{
-			Fingerprint: snap.Fingerprint,
-			SketchWidth: w,
-			Meta:        meta,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		stores = append(stores, st)
-		if err := writeStoreRecords(st, snap.ShardSeries[i], snap.ShardEnvelopes[i], snap.ShardSeqs[i], w); err != nil {
-			return fail(err)
-		}
-	}
-	for _, st := range stores {
-		if err := st.Close(); err != nil {
-			cleanupStoreDir(dir, created)
-			return fmt.Errorf("sdtw: migrate: %w", err)
-		}
-	}
-	return nil
-}
+func (si *ShardedIndex) CloseStore() error { return si.stores.close() }

@@ -1,7 +1,6 @@
 package sdtw
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -237,6 +237,134 @@ func TestStoreBackedMutationExactness(t *testing.T) {
 	}
 }
 
+// TestStoreWriteThroughConcurrent drives the write-through path Index
+// and ShardedIndex share from several goroutines at once (run with
+// -race): concurrent Adds and Removes interleaved with searches, syncs
+// and stats must leave RAM and disk agreeing, so the reopened store
+// holds exactly the surviving series.
+func TestStoreWriteThroughConcurrent(t *testing.T) {
+	d := GunDataset(DatasetConfig{Seed: 113, SeriesPerClass: 8})
+	seed, extra := d.Series[:6], d.Series[6:14]
+	type storeBacked interface {
+		Add(Series) error
+		Remove(string) error
+		SyncStore() error
+		StoreStats() (StoreStats, error)
+		CloseStore() error
+	}
+	for _, layout := range []string{"flat", "sharded"} {
+		t.Run(layout, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "s")
+			var ix storeBacked
+			var nearest func(Series) (string, error)
+			reopen := func() (int, error) {
+				if layout == "flat" {
+					back, err := OpenWindowedIndex(dir)
+					if err != nil {
+						return 0, err
+					}
+					ix, nearest = back, func(q Series) (string, error) {
+						nb, _, err := back.Search(context.Background(), Series{Values: q.Values})
+						if err != nil {
+							return "", err
+						}
+						return back.Series(nb[0].Pos).ID, nil
+					}
+					return back.Len(), nil
+				}
+				back, err := OpenShardedWindowedIndex(dir)
+				if err != nil {
+					return 0, err
+				}
+				ix, nearest = back, func(q Series) (string, error) {
+					hits, _, err := back.Search(context.Background(), Series{Values: q.Values})
+					if err != nil {
+						return "", err
+					}
+					return hits[0].ID, nil
+				}
+				return back.Len(), nil
+			}
+			var err error
+			if layout == "flat" {
+				var flat *Index
+				if flat, err = NewWindowedIndex(seed, 12); err == nil {
+					err = flat.SaveStore(dir)
+				}
+			} else {
+				var si *ShardedIndex
+				if si, err = NewShardedWindowedIndex(seed, 3, 12); err == nil {
+					err = si.SaveStore(dir)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := reopen(); err != nil {
+				t.Fatal(err)
+			}
+
+			var writers, readers sync.WaitGroup
+			done := make(chan struct{})
+			for w := 0; w < 4; w++ {
+				writers.Add(1)
+				go func(w int) {
+					defer writers.Done()
+					for _, s := range extra[2*w : 2*w+2] {
+						if err := ix.Add(s); err != nil {
+							t.Errorf("Add %q: %v", s.ID, err)
+						}
+					}
+					if err := ix.Remove(seed[w].ID); err != nil {
+						t.Errorf("Remove %q: %v", seed[w].ID, err)
+					}
+				}(w)
+			}
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if _, err := nearest(seed[5]); err != nil {
+						t.Errorf("search: %v", err)
+					}
+					if err := ix.SyncStore(); err != nil {
+						t.Errorf("SyncStore: %v", err)
+					}
+					if _, err := ix.StoreStats(); err != nil {
+						t.Errorf("StoreStats: %v", err)
+					}
+				}
+			}()
+			writers.Wait()
+			close(done)
+			readers.Wait()
+			if err := ix.CloseStore(); err != nil {
+				t.Fatal(err)
+			}
+
+			n, err := reopen()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.CloseStore()
+			live := append(append([]Series(nil), seed[4:]...), extra...)
+			if n != len(live) {
+				t.Fatalf("reopened %d series, want %d", n, len(live))
+			}
+			for _, s := range live {
+				if id, err := nearest(s); err != nil || id != s.ID {
+					t.Fatalf("nearest to %q after reopen: %q, %v", s.ID, id, err)
+				}
+			}
+		})
+	}
+}
+
 // TestShardedStoreBackedExactness: a sharded store root serves
 // bit-identically to a flat in-RAM index over the same collection,
 // through mutations, compaction and reopen.
@@ -348,22 +476,40 @@ func TestShardedStoreBackedExactness(t *testing.T) {
 	}
 }
 
-// TestOpenIndexValidation: wrong options, wrong kind, and gob Save on a
-// store-backed index all refuse with the right sentinels.
+// TestOpenIndexValidation: wrong options, wrong kind, the wrong layout,
+// and exports or store operations on the wrong kind of index all refuse
+// with the right sentinels.
 func TestOpenIndexValidation(t *testing.T) {
 	d := GunDataset(DatasetConfig{Seed: 89, SeriesPerClass: 4})
 	opts := Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}
 	_, cold, dir := storeAndFlat(t, "engine", d.Series, opts)
+	si, err := NewShardedIndex(d.Series, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardedDir := filepath.Join(t.TempDir(), "sharded")
+	if err := si.SaveStore(shardedDir); err != nil {
+		t.Fatal(err)
+	}
 
-	if _, err := OpenIndex(dir, Options{Strategy: ItakuraBand}); !errors.Is(err, ErrConfigMismatch) {
-		t.Fatalf("mismatched options: %v, want ErrConfigMismatch", err)
+	errOf := func(_ any, err error) error { return err }
+	for _, tc := range []struct {
+		name string
+		err  error
+		want error
+	}{
+		{"flat open under other options", errOf(OpenIndex(dir, Options{Strategy: ItakuraBand})), ErrConfigMismatch},
+		{"flat windowed open of an engine root", errOf(OpenWindowedIndex(dir)), ErrConfigMismatch},
+		{"sharded open under other options", errOf(OpenShardedIndex(shardedDir, Options{Strategy: ItakuraBand})), ErrConfigMismatch},
+		{"sharded windowed open of an engine root", errOf(OpenShardedWindowedIndex(shardedDir)), ErrConfigMismatch},
+		{"flat open of a sharded root", errOf(OpenIndex(shardedDir, opts)), ErrCorruptManifest},
+		{"sharded open of a flat root", errOf(OpenShardedIndex(dir, opts)), ErrCorruptManifest},
+	} {
+		if !errors.Is(tc.err, tc.want) {
+			t.Errorf("%s: %v, want %v", tc.name, tc.err, tc.want)
+		}
 	}
-	if _, err := OpenWindowedIndex(dir); !errors.Is(err, ErrConfigMismatch) {
-		t.Fatalf("kind mismatch: %v, want ErrConfigMismatch", err)
-	}
-	if err := cold.Save(&bytes.Buffer{}); !errors.Is(err, ErrStoreBacked) {
-		t.Fatalf("gob Save of a store-backed index: %v, want ErrStoreBacked", err)
-	}
+
 	if err := cold.SaveStore(filepath.Join(dir, "again")); !errors.Is(err, ErrStoreBacked) {
 		t.Fatalf("SaveStore of a store-backed index: %v, want ErrStoreBacked", err)
 	}
@@ -511,7 +657,7 @@ func TestOpenShardedDegraded(t *testing.T) {
 	// Every surviving series is still retrievable as its own nearest
 	// neighbour; the quarantined ones are gone from the result surface.
 	live := make(map[string]bool)
-	for _, st := range deg.stores {
+	for _, st := range deg.stores.shards {
 		for _, rec := range st.Live() {
 			live[rec.ID] = true
 		}
@@ -575,105 +721,4 @@ func TestOpenShardedMixedConfig(t *testing.T) {
 	if _, err := OpenShardedIndex(dirA, optsA); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("open over mixed-config shards: %v, want ErrConfigMismatch", err)
 	}
-}
-
-// TestLoadShardedIndexRejectsGarbage: the legacy gob loader fails
-// cleanly (no partial cluster) on corrupt input.
-func TestLoadShardedIndexRejectsGarbage(t *testing.T) {
-	d := GunDataset(DatasetConfig{Seed: 103, SeriesPerClass: 4})
-	opts := Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}
-	si, err := NewShardedIndex(d.Series, 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := si.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Truncated snapshot.
-	if _, err := LoadShardedIndex(bytes.NewReader(buf.Bytes()[:buf.Len()/2]), opts); err == nil {
-		t.Fatal("truncated sharded snapshot loaded")
-	}
-	// Not a gob stream at all.
-	if _, err := LoadShardedIndex(strings.NewReader("not a gob snapshot"), opts); err == nil {
-		t.Fatal("garbage input loaded as a sharded snapshot")
-	}
-	// A flat snapshot fed to the sharded loader (kind mismatch).
-	flat, err := NewIndex(d.Series, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fbuf bytes.Buffer
-	if err := flat.Save(&fbuf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadShardedIndex(&fbuf, opts); err == nil {
-		t.Fatal("flat snapshot loaded as a sharded snapshot")
-	}
-}
-
-// TestMigrateStoreRoundTrip: gob snapshots (the legacy format, readable
-// for one more release) convert into segment stores that answer
-// bit-identically.
-func TestMigrateStoreRoundTrip(t *testing.T) {
-	d := GunDataset(DatasetConfig{Seed: 107, SeriesPerClass: 6})
-	opts := Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}
-	ctx := context.Background()
-
-	t.Run("flat", func(t *testing.T) {
-		flat, err := NewIndex(d.Series, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := flat.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		dir := filepath.Join(t.TempDir(), "migrated")
-		if err := MigrateStore(&buf, dir, 0); err != nil {
-			t.Fatal(err)
-		}
-		cold, err := OpenIndex(dir, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cold.CloseStore()
-		want, _, err := flat.Search(ctx, d.Series[0], WithK(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := cold.Search(ctx, d.Series[0], WithK(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameNeighbors(t, "migrated", want, got)
-	})
-	t.Run("sharded", func(t *testing.T) {
-		si, err := NewShardedIndex(d.Series, 3, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := si.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		dir := filepath.Join(t.TempDir(), "migrated")
-		if err := MigrateShardedStore(&buf, dir, 0); err != nil {
-			t.Fatal(err)
-		}
-		cold, err := OpenShardedIndex(dir, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cold.CloseStore()
-		want, _, err := si.Search(ctx, d.Series[0], WithK(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := cold.Search(ctx, d.Series[0], WithK(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameHits(t, "migrated", want, got)
-	})
 }

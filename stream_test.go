@@ -111,10 +111,10 @@ func TestMonitorAcceptance10k(t *testing.T) {
 	}
 }
 
-// TestSubsequenceWrapperBitIdentical pins the compatibility contract: the
-// deprecated one-shot Subsequence, now a thin wrapper over the Monitor,
-// answers bit-identically to the offline dynamic program it replaced.
-func TestSubsequenceWrapperBitIdentical(t *testing.T) {
+// TestMonitorBestOnlyBitIdentical pins the one-shot contract: a
+// best-only Monitor fed a whole stream in one batch answers, at Flush,
+// bit-identically to the offline dynamic program over random inputs.
+func TestMonitorBestOnlyBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 15; trial++ {
 		n := 2 + rng.Intn(20)
@@ -127,33 +127,31 @@ func TestSubsequenceWrapperBitIdentical(t *testing.T) {
 		for j := range s {
 			s[j] = rng.NormFloat64()
 		}
-		got, err := Subsequence(q, s)
+		mon, err := NewMonitor([]Series{{Values: q}}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if _, err := mon.PushBatch(context.Background(), s); err != nil {
+			t.Fatal(err)
+		}
+		matches, err := mon.Flush()
+		if err != nil || len(matches) != 1 {
+			t.Fatalf("trial %d: Flush = %v, %v", trial, matches, err)
+		}
+		got := matches[0]
 		want, err := dtw.Subsequence(q, s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("trial %d: wrapper %+v, offline %+v", trial, got, want)
+		if got.Start != want.Start || got.End != want.End || got.Distance != want.Distance {
+			t.Fatalf("trial %d: Monitor [%d,%d] %v, offline %+v", trial, got.Start, got.End, got.Distance, want)
 		}
-	}
-	// A NaN-poisoned query never compares below +Inf, so no best match
-	// exists; the wrapper must report the historical shape (position 0,
-	// NaN cost), not panic.
-	m, err := Subsequence([]float64{1, math.NaN()}, []float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Start != 0 || m.End != 0 || !math.IsNaN(m.Distance) {
-		t.Fatalf("NaN query: got %+v, want [0,0] at NaN", m)
 	}
 }
 
 // TestEngineSubsequence checks the pooled-workspace engine path returns
-// the same answer as the one-shot helper, across repeated mixed-size
-// calls that exercise workspace reuse.
+// the same answer as the offline dynamic program, across repeated
+// mixed-size calls that exercise workspace reuse.
 func TestEngineSubsequence(t *testing.T) {
 	eng := NewEngine(DefaultOptions())
 	rng := rand.New(rand.NewSource(31))
@@ -182,6 +180,22 @@ func TestEngineSubsequence(t *testing.T) {
 	}
 	if _, err := eng.Subsequence(nil, []float64{1}); !errors.Is(err, ErrEmptySeries) {
 		t.Fatalf("empty query: got %v, want ErrEmptySeries", err)
+	}
+}
+
+func TestSubsequencePublicAPI(t *testing.T) {
+	q := []float64{0, 1, 0}
+	s := []float64{9, 9, 0, 1, 0, 9, 9}
+	eng := NewEngine(Options{})
+	m, err := eng.Subsequence(q, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Distance != 0 || m.Start != 2 || m.End != 4 {
+		t.Fatalf("match = %+v, want [2,4] at 0", m)
+	}
+	if _, err := eng.Subsequence(nil, s); err == nil {
+		t.Fatal("empty query accepted")
 	}
 }
 
@@ -355,10 +369,11 @@ func TestMonitorValidationTable(t *testing.T) {
 	}
 
 	// The one-shot helpers wrap the same sentinels.
-	if _, err := Subsequence(nil, []float64{1}); !IsErr(err, ErrEmptySeries) {
+	eng := NewEngine(Options{})
+	if _, err := eng.Subsequence(nil, []float64{1}); !IsErr(err, ErrEmptySeries) {
 		t.Fatalf("Subsequence empty query: got %v", err)
 	}
-	if _, err := Subsequence([]float64{1}, nil); !IsErr(err, ErrEmptySeries) {
+	if _, err := eng.Subsequence([]float64{1}, nil); !IsErr(err, ErrEmptySeries) {
 		t.Fatalf("Subsequence empty stream: got %v", err)
 	}
 	if _, err := DTW(nil, []float64{1}); !IsErr(err, ErrEmptySeries) {
