@@ -583,6 +583,39 @@ func BenchmarkIndexTopKCascade(b *testing.B) {
 	}
 }
 
+// BenchmarkShardedSearchAnonymous measures the serving path's sDTW
+// search for anonymous queries: 500 Trace series over 2 shards, k=5,
+// held-out queries without IDs. Each query is prepared once (salient
+// features, sketch means) and shared by every candidate on both shards;
+// preparems is that preparation's share of each search.
+func BenchmarkShardedSearchAnonymous(b *testing.B) {
+	d, err := datasets.ByName("Trace", datasets.Config{Seed: benchSeed, SeriesPerClass: 125})
+	if err != nil {
+		b.Fatal(err)
+	}
+	held, err := datasets.ByName("Trace", datasets.Config{Seed: benchSeed + 1, SeriesPerClass: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := NewShardedIndex(d.Series, 2, DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var stats SearchStats
+	for i := 0; i < b.N; i++ {
+		q := Series{Values: held.Series[i%held.Len()].Values}
+		_, s, err := ix.Search(context.Background(), q, WithK(5))
+		if err != nil {
+			b.Fatal(err)
+		}
+		stats.Merge(s)
+	}
+	b.ReportMetric(float64(stats.PrepareTime.Microseconds())/1000/float64(b.N), "preparems")
+	b.ReportMetric(stats.PruneRate(), "prunerate")
+}
+
 // BenchmarkIndexTopKBatch measures the whole-dataset batch entry point:
 // every indexed series queried against the collection in one call.
 func BenchmarkIndexTopKBatch(b *testing.B) {

@@ -23,8 +23,15 @@ var (
 	// ErrBadK reports a non-positive neighbour count.
 	ErrBadK = retrieve.ErrBadK
 	// ErrLengthMismatch reports a series or query whose length violates
-	// the windowed backend's equal-length requirement.
+	// the windowed backend's equal-length requirement, or is below the
+	// four samples salient-feature extraction needs.
 	ErrLengthMismatch = retrieve.ErrLengthMismatch
+	// ErrNonFinite reports a series or query holding a NaN, an infinity,
+	// or a value beyond ±1e150 (where squared point costs summed along a
+	// warp path can overflow). Index constructors, Add (including the
+	// store write-through) and every search reject such input at the
+	// boundary instead of returning meaningless distances.
+	ErrNonFinite = retrieve.ErrNonFinite
 	// ErrConfigMismatch reports an index snapshot whose configuration
 	// fingerprint does not match the options it is being loaded under.
 	ErrConfigMismatch = retrieve.ErrConfigMismatch

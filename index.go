@@ -325,7 +325,7 @@ func (ix *Index) SearchBatch(ctx context.Context, queries []Series, opts ...Sear
 	if err != nil {
 		return nil, SearchStats{}, err
 	}
-	out, stats, err := ix.core.SearchBatch(ctx, queries, p, false)
+	out, stats, err := ix.core.SearchBatch(ctx, queries, p)
 	if err != nil {
 		return nil, stats, fmt.Errorf("sdtw: %w", err)
 	}

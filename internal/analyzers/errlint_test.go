@@ -13,3 +13,7 @@ func TestErrlintStoreSentinels(t *testing.T) {
 func TestErrlintHubSentinels(t *testing.T) {
 	runGolden(t, Errlint, "hubuser")
 }
+
+func TestErrlintNonFiniteSentinel(t *testing.T) {
+	runGolden(t, Errlint, "seriesuser")
+}

@@ -33,10 +33,12 @@ var dpEntryPoints = map[string]map[string]bool{
 		"Distance":         true,
 		"DistanceUnder":    true,
 		"DistanceUnderCtx": true,
+		"DistanceQuery":    true,
 	},
 	"sdtw/internal/retrieve": {
-		"Search":      true,
-		"SearchBatch": true,
+		"Search":         true,
+		"SearchPrepared": true,
+		"SearchBatch":    true,
 	},
 }
 

@@ -240,62 +240,117 @@ func (e *Engine) DistanceUnder(x, y series.Series, budget float64) (Result, erro
 // set: that branch runs its band to completion, so cancellation is only
 // observed between computations.
 func (e *Engine) DistanceUnderCtx(ctx context.Context, x, y series.Series, budget float64) (Result, error) {
-	if e.opts.Band.Symmetric && canonicalLess(y, x) {
-		res, err := e.distance(ctx, y, x, budget)
-		if err != nil {
-			return res, err
-		}
-		for k := range res.Path {
-			res.Path[k].I, res.Path[k].J = res.Path[k].J, res.Path[k].I
-		}
-		if e.opts.KeepBand && res.Band.N() > 0 {
-			res.Band = res.Band.Transpose().Normalize()
-		}
-		return res, nil
+	if err := checkLens(x, y); err != nil {
+		return Result{}, err
 	}
-	return e.distance(ctx, x, y, budget)
+	fx, extract, err := e.cachedFeatures(x)
+	if err != nil {
+		return Result{}, fmt.Errorf("core: extracting features of x: %w", err)
+	}
+	res, err := e.DistanceQuery(ctx, x, fx, y, budget)
+	res.ExtractTime += extract
+	return res, err
 }
 
-// canonicalLess is a deterministic total preorder on series used to pick
-// the orientation of symmetric computations: shorter first, then by ID,
-// then by values.
-func canonicalLess(a, b series.Series) bool {
-	if a.Len() != b.Len() {
-		return a.Len() < b.Len()
+// needsFeatures reports whether the band strategy aligns salient
+// features, i.e. whether distances need the series' features at all.
+func (e *Engine) needsFeatures() bool {
+	return e.opts.Band.Strategy.AdaptiveCore() || e.opts.Band.Strategy.AdaptiveWidth()
+}
+
+// QueryFeatures extracts the salient features of a query for
+// DistanceQuery: always from the values, never through the per-ID cache
+// (a query's ID says nothing about its values), and nil when the band
+// strategy needs no features. Retrieval calls it once per search and
+// shares the result with every candidate.
+func (e *Engine) QueryFeatures(values []float64) ([]sift.Feature, error) {
+	if !e.needsFeatures() {
+		return nil, nil
 	}
-	if a.ID != b.ID {
-		return a.ID < b.ID
+	f, err := sift.Extract(values, e.opts.Features)
+	if err != nil {
+		return nil, fmt.Errorf("core: extracting query features: %w", err)
 	}
-	for i := range a.Values {
-		if a.Values[i] != b.Values[i] {
-			return a.Values[i] < b.Values[i]
+	return f, nil
+}
+
+// cachedFeatures returns s's features through the per-ID cache (nil when
+// the band strategy needs none) and the time spent getting them.
+func (e *Engine) cachedFeatures(s series.Series) ([]sift.Feature, time.Duration, error) {
+	if !e.needsFeatures() {
+		return nil, 0, nil
+	}
+	start := time.Now()
+	f, err := e.Features(s)
+	return f, time.Since(start), err
+}
+
+// DistanceQuery is DistanceUnderCtx for a query q whose features fq were
+// prepared once by QueryFeatures: only the collection series c's features
+// come from the cache, and Result.ExtractTime counts c's extraction on a
+// cache miss.
+func (e *Engine) DistanceQuery(ctx context.Context, q series.Series, fq []sift.Feature, c series.Series, budget float64) (Result, error) {
+	if err := checkLens(q, c); err != nil {
+		return Result{}, err
+	}
+	fc, extract, err := e.cachedFeatures(c)
+	if err != nil {
+		return Result{}, fmt.Errorf("core: extracting features of %q: %w", c.ID, err)
+	}
+	var res Result
+	if e.opts.Band.Symmetric && canonicalLess(c.Values, q.Values) {
+		// Symmetric bands run in the canonical orientation, so that
+		// Distance(x, y) and Distance(y, x) are the same computation.
+		res, err = e.distance(ctx, c, fc, q, fq, budget)
+		if err == nil {
+			for k := range res.Path {
+				res.Path[k].I, res.Path[k].J = res.Path[k].J, res.Path[k].I
+			}
+			if e.opts.KeepBand && res.Band.N() > 0 {
+				res.Band = res.Band.Transpose().Normalize()
+			}
+		}
+	} else {
+		res, err = e.distance(ctx, q, fq, c, fc, budget)
+	}
+	res.ExtractTime = extract
+	return res, err
+}
+
+// checkLens rejects an empty input before any feature work.
+func checkLens(x, y series.Series) error {
+	if x.Len() == 0 || y.Len() == 0 {
+		return fmt.Errorf("core: empty series (len(x)=%d len(y)=%d)", x.Len(), y.Len())
+	}
+	return nil
+}
+
+// canonicalLess is a deterministic total preorder on series values used
+// to pick the orientation of symmetric computations: shorter first, then
+// by values. IDs play no part, so a symmetric answer depends only on the
+// values compared; equal values run the same computation either way.
+func canonicalLess(a, b []float64) bool {
+	if len(a) != len(b) {
+		return len(a) < len(b)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
 		}
 	}
 	return false
 }
 
-func (e *Engine) distance(ctx context.Context, x, y series.Series, budget float64) (Result, error) {
+// distance computes the banded distance of x against y given their
+// features (nil unless needsFeatures).
+func (e *Engine) distance(ctx context.Context, x series.Series, fx []sift.Feature, y series.Series, fy []sift.Feature, budget float64) (Result, error) {
 	nx, ny := x.Len(), y.Len()
-	if nx == 0 || ny == 0 {
-		return Result{}, fmt.Errorf("core: empty series (len(x)=%d len(y)=%d)", nx, ny)
-	}
 	res := Result{GridCells: nx * ny}
-	needsAlignment := e.opts.Band.Strategy.AdaptiveCore() || e.opts.Band.Strategy.AdaptiveWidth()
 
-	var al *match.Alignment
-	if needsAlignment {
-		extractStart := time.Now()
-		fx, err := e.Features(x)
-		if err != nil {
-			return res, fmt.Errorf("core: extracting features of x: %w", err)
-		}
-		fy, err := e.Features(y)
-		if err != nil {
-			return res, fmt.Errorf("core: extracting features of y: %w", err)
-		}
-		res.ExtractTime = time.Since(extractStart)
-
+	al := &match.Alignment{NX: nx, NY: ny}
+	if e.needsFeatures() {
 		matchStart := time.Now()
+		var err error
 		al, err = match.Match(fx, fy, nx, ny, e.opts.Matcher)
 		if err != nil {
 			return res, fmt.Errorf("core: matching: %w", err)
@@ -313,8 +368,6 @@ func (e *Engine) distance(ctx context.Context, x, y series.Series, budget float6
 			al = &match.Alignment{NX: nx, NY: ny}
 			res.Pairs = 0
 		}
-	} else {
-		al = &match.Alignment{NX: nx, NY: ny}
 	}
 
 	ws := e.scratch.Get().(*workspace)

@@ -10,6 +10,7 @@ import (
 	"sdtw/internal/core"
 	"sdtw/internal/dtw"
 	"sdtw/internal/series"
+	"sdtw/internal/sift"
 )
 
 // Result is the outcome of one backend distance computation, the
@@ -51,9 +52,14 @@ type Backend interface {
 	Admit(s series.Series) error
 	// Forget drops cached state held for a series leaving the collection.
 	Forget(s series.Series)
-	// CheckQuery validates a query against backend constraints (the
-	// windowed backend requires the indexed length).
-	CheckQuery(q series.Series) error
+	// Prepare validates a query against backend constraints (the
+	// windowed backend requires the indexed length) and precomputes the
+	// backend's per-query state: the salient features for the sDTW
+	// engine, nothing for the windowed backend. It runs once per search;
+	// the state reaches every Distance call of that search, on every
+	// shard, as Query.State. It must depend on the query's values alone,
+	// never on its ID.
+	Prepare(q series.Series) (any, error)
 	// Cascade reports whether the LB_Kim/LB_Keogh bounds are admissible
 	// lower bounds for this backend's distance. When false the Core
 	// degrades to an exact parallel scan.
@@ -66,11 +72,11 @@ type Backend interface {
 	// envelope over a series of length m lower-bounds this backend's
 	// distance.
 	EnvelopeRadius(m int) int
-	// Distance computes the backend distance between query and candidate
-	// with threshold-aware early abandonment against budget (+Inf never
-	// abandons). A cancelled ctx stops the computation mid-band with
-	// ctx.Err().
-	Distance(ctx context.Context, q, c series.Series, budget float64) (Result, error)
+	// Distance computes the backend distance between a prepared query
+	// and a candidate with threshold-aware early abandonment against
+	// budget (+Inf never abandons). A cancelled ctx stops the computation
+	// mid-band with ctx.Err().
+	Distance(ctx context.Context, q *Query, c series.Series, budget float64) (Result, error)
 }
 
 // engineBackend serves sDTW banded distances through a shared core.Engine
@@ -107,15 +113,20 @@ func (b *engineBackend) Admit(s series.Series) error {
 
 func (b *engineBackend) Forget(s series.Series) { b.engine.Evict(s.ID) }
 
-func (b *engineBackend) CheckQuery(q series.Series) error { return nil }
+// Prepare extracts the query's salient features from its values, outside
+// the per-ID cache, which holds collection series only.
+func (b *engineBackend) Prepare(q series.Series) (any, error) {
+	return b.engine.QueryFeatures(q.Values)
+}
 
 func (b *engineBackend) Cascade() bool     { return !b.customDist }
 func (b *engineBackend) Abandonable() bool { return !b.customDist }
 
 func (b *engineBackend) EnvelopeRadius(m int) int { return band.EnvelopeRadius(b.bandCfg, m) }
 
-func (b *engineBackend) Distance(ctx context.Context, q, c series.Series, budget float64) (Result, error) {
-	res, err := b.engine.DistanceUnderCtx(ctx, q, c, budget)
+func (b *engineBackend) Distance(ctx context.Context, q *Query, c series.Series, budget float64) (Result, error) {
+	fq, _ := q.State.([]sift.Feature)
+	res, err := b.engine.DistanceQuery(ctx, q.Series, fq, c, budget)
 	if err != nil {
 		return Result{}, err
 	}
@@ -192,11 +203,11 @@ func (b *windowedBackend) AdmitCold(id string, n int) error {
 
 func (b *windowedBackend) Forget(series.Series) {}
 
-func (b *windowedBackend) CheckQuery(q series.Series) error {
+func (b *windowedBackend) Prepare(q series.Series) (any, error) {
 	if q.Len() != b.length {
-		return fmt.Errorf("query length %d != indexed length %d: %w", q.Len(), b.length, ErrLengthMismatch)
+		return nil, fmt.Errorf("query length %d != indexed length %d: %w", q.Len(), b.length, ErrLengthMismatch)
 	}
-	return nil
+	return nil, nil
 }
 
 func (b *windowedBackend) Cascade() bool     { return true }
@@ -204,7 +215,7 @@ func (b *windowedBackend) Abandonable() bool { return true }
 
 func (b *windowedBackend) EnvelopeRadius(int) int { return b.radius }
 
-func (b *windowedBackend) Distance(ctx context.Context, q, c series.Series, budget float64) (Result, error) {
+func (b *windowedBackend) Distance(ctx context.Context, q *Query, c series.Series, budget float64) (Result, error) {
 	ws := b.scratch.Get().(*dtw.Workspace)
 	defer b.scratch.Put(ws)
 	dpStart := time.Now()

@@ -9,9 +9,9 @@ import (
 // Sentinel errors of the retrieval surface. The public sdtw package
 // re-exports them; every validation failure across the query surface
 // wraps one of these so callers can branch with errors.Is instead of
-// matching message strings. ErrEmptySeries and ErrLengthMismatch are the
-// shared identities from internal/series, so the dynamic-programming
-// kernels report the very same sentinels.
+// matching message strings. ErrEmptySeries, ErrLengthMismatch and
+// ErrNonFinite are the shared identities from internal/series, so the
+// dynamic-programming kernels report the very same sentinels.
 var (
 	// ErrEmptyCollection reports an attempt to build an index (or run a
 	// batch) over zero series or zero queries.
@@ -23,6 +23,9 @@ var (
 	// ErrLengthMismatch reports a series whose length violates a
 	// backend's equal-length requirement.
 	ErrLengthMismatch = series.ErrLengthMismatch
+	// ErrNonFinite reports a series or query holding a NaN, an infinity,
+	// or a value beyond ±1e150 (where squared point costs overflow).
+	ErrNonFinite = series.ErrNonFinite
 	// ErrConfigMismatch reports an index snapshot whose configuration
 	// fingerprint does not match the options it is being loaded under.
 	ErrConfigMismatch = errors.New("index config mismatch")

@@ -303,7 +303,7 @@ func New(backend Backend, data []series.Series, workers int, abandon bool) (*Cor
 		c.envelopes = make([]lower.Envelope, 0, len(data))
 	}
 	for i, s := range data {
-		if err := c.admitLocked(s, false); err != nil {
+		if err := c.admitLocked(s); err != nil {
 			return nil, fmt.Errorf("series %d: %w", i, err)
 		}
 	}
@@ -311,24 +311,22 @@ func New(backend Backend, data []series.Series, workers int, abandon bool) (*Cor
 }
 
 // admitLocked validates s, warms the backend, and appends it with its
-// envelope. fresh drops any backend cache state already held under the
-// series' ID before warming: construction starts from a clean backend,
-// but by Add time a search query sharing the ID may have planted its own
-// features in the read-through cache, and admitting through that stale
-// entry would permanently serve another series' features. Callers hold
-// the write lock (or are constructing).
-func (c *Core) admitLocked(s series.Series, fresh bool) error {
-	if len(s.Values) == 0 {
-		return fmt.Errorf("series %q: %w", s.ID, ErrEmptySeries)
+// envelope. It first drops any backend cache state still held under the
+// series' ID: a search still running on a copy-on-write core from before
+// a Remove may have re-derived the removed series' features, and
+// admitting a new series of that ID through the stale entry would
+// permanently serve another series' features. Callers hold the write
+// lock (or are constructing).
+func (c *Core) admitLocked(s series.Series) error {
+	if err := checkValues(s); err != nil {
+		return err
 	}
 	if s.ID != "" {
 		if _, dup := c.ids[s.ID]; dup {
 			return fmt.Errorf("%w: %q", ErrDuplicateID, s.ID)
 		}
 	}
-	if fresh {
-		c.backend.Forget(s)
-	}
+	c.backend.Forget(s)
 	if err := c.backend.Admit(s); err != nil {
 		return err
 	}
@@ -351,6 +349,18 @@ func (c *Core) admitLocked(s series.Series, fresh bool) error {
 			}
 			c.sketches = append(c.sketches, sk)
 		}
+	}
+	return nil
+}
+
+// checkValues rejects a series the cascade cannot index: one with no
+// values or with a non-finite value.
+func checkValues(s series.Series) error {
+	if len(s.Values) == 0 {
+		return fmt.Errorf("series %q: %w", s.ID, ErrEmptySeries)
+	}
+	if err := series.CheckFinite(s.Values); err != nil {
+		return fmt.Errorf("series %q: %w", s.ID, err)
 	}
 	return nil
 }
@@ -421,7 +431,7 @@ func (c *Core) Values(i int) ([]float64, error) {
 func (c *Core) Add(s series.Series) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.admitLocked(s, true)
+	return c.admitLocked(s)
 }
 
 // Remove deletes the series with the given non-empty ID, dropping its
@@ -517,7 +527,7 @@ func (c *Core) CloneAdd(s series.Series) (*Core, error) {
 	c.mu.RUnlock()
 	// nc is unpublished: no lock needed, but admitLocked's contract holds
 	// (no concurrent access).
-	if err := nc.admitLocked(s, true); err != nil {
+	if err := nc.admitLocked(s); err != nil {
 		return nil, err
 	}
 	return nc, nil
@@ -689,17 +699,71 @@ func (t *SharedThreshold) Tighten(v float64) {
 	}
 }
 
+// Query is a search query prepared once per search: its validated
+// values, the backend's per-query state, and the stage-0 sketch means.
+// One Query serves every candidate of the search and every shard it fans
+// out to. It is read-only once built, and its ID serves self-exclusion
+// only: nothing prepared in it depends on the ID.
+type Query struct {
+	series.Series
+	// State is the backend's per-query precomputation (Backend.Prepare).
+	State any
+	// means are the query's PAA means at the sketch width Prepare was
+	// given, for the stage-0 bound; nil when that width is 0.
+	means []float64
+	// PrepareTime is the time spent building the Query.
+	PrepareTime time.Duration
+}
+
+// Prepare validates q and builds its Query over backend: non-empty,
+// finite values, the backend's own constraints and per-query state, and —
+// when sketchW > 0 and the backend's cascade is active — the stage-0
+// sketch means at that width. A sharded search prepares once with any
+// shard's backend (all share one configuration) and hands the Query to
+// every shard core.
+func Prepare(backend Backend, q series.Series, sketchW int) (*Query, error) {
+	start := time.Now()
+	if len(q.Values) == 0 {
+		return nil, fmt.Errorf("query: %w", ErrEmptySeries)
+	}
+	if err := series.CheckFinite(q.Values); err != nil {
+		return nil, fmt.Errorf("query: %w", err)
+	}
+	state, err := backend.Prepare(q)
+	if err != nil {
+		return nil, fmt.Errorf("query: %w", err)
+	}
+	pq := &Query{Series: q, State: state}
+	if sketchW > 0 && backend.Cascade() {
+		if pq.means, err = sketch.Means(q.Values, sketchW, nil); err != nil {
+			return nil, fmt.Errorf("query sketch: %w", err)
+		}
+	}
+	pq.PrepareTime = time.Since(start)
+	return pq, nil
+}
+
 // kimCheckEvery is how often the sequential LB_Kim stage polls the
 // context on very large collections.
 const kimCheckEvery = 1024
 
 // Search runs the cascaded top-k search. Query validation (emptiness,
-// backend length constraints) happens here, uniformly for both backends;
-// K is validated by the public layer, which owns the option surface.
+// finiteness, backend length constraints) happens in Prepare, uniformly
+// for both backends; K is validated by the public layer, which owns the
+// option surface.
 func (c *Core) Search(ctx context.Context, query series.Series, p Params) ([]Neighbor, Stats, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.search(ctx, query, p)
+	return c.prepareAndSearch(ctx, query, p)
+}
+
+// SearchPrepared is Search for a query already prepared by Prepare — the
+// sharded fan-out, which prepares once and searches every shard core with
+// the same Query. The returned stats leave PrepareTime to the preparer.
+func (c *Core) SearchPrepared(ctx context.Context, q *Query, p Params) ([]Neighbor, Stats, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.search(ctx, q, p, time.Now())
 }
 
 // SearchWithLabels is Search returning, alongside each neighbour, the
@@ -709,7 +773,7 @@ func (c *Core) Search(ctx context.Context, query series.Series, p Params) ([]Nei
 func (c *Core) SearchWithLabels(ctx context.Context, query series.Series, p Params) ([]Neighbor, []int, Stats, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	nbrs, stats, err := c.search(ctx, query, p)
+	nbrs, stats, err := c.prepareAndSearch(ctx, query, p)
 	if err != nil {
 		return nil, nil, stats, err
 	}
@@ -742,17 +806,24 @@ func (c *Core) labelsLocked(nbrs []Neighbor) []int {
 	return labels
 }
 
-// search is Search under a held read lock (batch calls it directly so a
-// whole batch sees one consistent collection).
-func (c *Core) search(ctx context.Context, query series.Series, p Params) ([]Neighbor, Stats, error) {
-	var stats Stats
+// prepareAndSearch prepares query at the core's sketch width and searches
+// with it, under a held read lock. The stats' WallTime includes the
+// preparation.
+func (c *Core) prepareAndSearch(ctx context.Context, query series.Series, p Params) ([]Neighbor, Stats, error) {
 	start := time.Now()
-	if len(query.Values) == 0 {
-		return nil, stats, fmt.Errorf("query: %w", ErrEmptySeries)
+	q, err := Prepare(c.backend, query, c.sketchW)
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	if err := c.backend.CheckQuery(query); err != nil {
-		return nil, stats, fmt.Errorf("query: %w", err)
-	}
+	nbrs, stats, err := c.search(ctx, q, p, start)
+	stats.PrepareTime = q.PrepareTime
+	return nbrs, stats, err
+}
+
+// search runs the cascade for a prepared query under a held read lock.
+// start is when the search began, for WallTime.
+func (c *Core) search(ctx context.Context, query *Query, p Params, start time.Time) ([]Neighbor, Stats, error) {
+	var stats Stats
 	if err := ctxErr(ctx); err != nil {
 		return nil, stats, err
 	}
@@ -765,13 +836,9 @@ func (c *Core) search(ctx context.Context, query series.Series, p Params) ([]Nei
 	// the processing order that lets the k-heap threshold tighten fast.
 	boundStart := time.Now()
 	useSketch := c.cascade && c.sketchW > 0 && !p.NoSketch
-	var qmean []float64
-	if useSketch {
-		var err error
-		qmean, err = sketch.Means(query.Values, c.sketchW, nil)
-		if err != nil {
-			return nil, stats, fmt.Errorf("query sketch: %w", err)
-		}
+	if useSketch && len(query.means) != c.sketchW {
+		return nil, stats, fmt.Errorf("query prepared at sketch width %d, collection sketched at %d: %w",
+			len(query.means), c.sketchW, ErrConfigMismatch)
 	}
 	cands := make([]candidate, 0, len(c.data))
 	var kimVals [2]float64
@@ -806,7 +873,7 @@ func (c *Core) search(ctx context.Context, query series.Series, p Params) ([]Nei
 			// Stage 0 applies under the same equal-length contract as the
 			// Keogh stage; other candidates keep their Kim ordering.
 			if useSketch && m.n == len(query.Values) {
-				cd.bound = sketch.LBPAA(qmean, c.sketches[i], m.n)
+				cd.bound = sketch.LBPAA(query.means, c.sketches[i], m.n)
 				cd.paa = true
 			}
 		}
@@ -1013,23 +1080,22 @@ func (c *Core) search(ctx context.Context, query series.Series, p Params) ([]Nei
 // SearchBatch answers one search per entry of queries, parallelising
 // across queries and dividing the remaining worker budget inside each
 // query's cascade, so the pool stays bounded at the core's worker count.
-// With excludeSelf set, queries must be the indexed collection itself and
-// query n additionally excludes position n — leave-one-out even when
-// series lack the IDs the usual self-match skip keys on. The returned
+// Each query is prepared once, for all of its candidates. The returned
 // stats aggregate every query; WallTime is the batch's elapsed time.
-func (c *Core) SearchBatch(ctx context.Context, queries []series.Series, p Params, excludeSelf bool) ([][]Neighbor, Stats, error) {
+func (c *Core) SearchBatch(ctx context.Context, queries []series.Series, p Params) ([][]Neighbor, Stats, error) {
 	if len(queries) == 0 {
 		return nil, Stats{}, fmt.Errorf("batch needs at least one query: %w", ErrEmptyCollection)
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.batch(ctx, queries, p, excludeSelf)
+	return c.batch(ctx, queries, p, false)
 }
 
 // batch is SearchBatch under a held read lock. With excludeSelf set the
 // queries are the collection itself and query n additionally excludes
-// position n — the leave-one-out self-batch — under one read lock so the
-// whole workload sees a single consistent collection state.
+// position n — the leave-one-out self-batch, leave-one-out even when
+// series lack the IDs the usual self-match skip keys on — under one read
+// lock so the whole workload sees a single consistent collection state.
 func (c *Core) batch(ctx context.Context, queries []series.Series, p Params, excludeSelf bool) ([][]Neighbor, Stats, error) {
 	var stats Stats
 	start := time.Now()
@@ -1072,7 +1138,7 @@ func (c *Core) batch(ctx context.Context, queries []series.Series, p Params, exc
 				}
 			}
 		}
-		nbrs, qs, err := c.search(ctx, q, qp)
+		nbrs, qs, err := c.prepareAndSearch(ctx, q, qp)
 		mu.Lock()
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("query %d (%q): %w", n, queries[n].ID, err)

@@ -38,6 +38,10 @@ type Stats struct {
 	// brute-force scan would confront — so CellsGain reflects the combined
 	// effect of the cascade and the band.
 	GridCells int
+	// PrepareTime is the time spent preparing the query once for the
+	// whole search: validation, salient features (engine backend) and
+	// stage-0 sketch means. It is part of WallTime.
+	PrepareTime time.Duration
 	// BoundTime is the time spent computing LB_Kim and LB_Keogh bounds.
 	BoundTime time.Duration
 	// MatchTime and DPTime are the summed backend stage durations of the
@@ -84,6 +88,7 @@ func (s *Stats) Merge(o Stats) {
 	s.CellsSaved += o.CellsSaved
 	s.Cells += o.Cells
 	s.GridCells += o.GridCells
+	s.PrepareTime += o.PrepareTime
 	s.BoundTime += o.BoundTime
 	s.MatchTime += o.MatchTime
 	s.DPTime += o.DPTime

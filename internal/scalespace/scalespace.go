@@ -13,6 +13,8 @@ package scalespace
 import (
 	"fmt"
 	"math"
+
+	"sdtw/internal/series"
 )
 
 // DefaultBaseSigma is the smoothing scale assigned to level 0 of octave 0,
@@ -176,7 +178,7 @@ func Downsample(v []float64) []float64 {
 // Build constructs the Gaussian pyramid and DoG stack for v.
 func Build(v []float64, cfg Config) (*Pyramid, error) {
 	if len(v) < 4 {
-		return nil, fmt.Errorf("scalespace: series too short (%d samples, need >= 4)", len(v))
+		return nil, fmt.Errorf("scalespace: series too short (%d samples, need >= 4): %w", len(v), series.ErrLengthMismatch)
 	}
 	cfg = cfg.withDefaults(len(v))
 	s := cfg.Levels

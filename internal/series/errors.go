@@ -11,8 +11,14 @@ var (
 	// ErrEmptySeries reports a series, query or stream with no
 	// observations.
 	ErrEmptySeries = errors.New("empty series")
-	// ErrLengthMismatch reports a series whose length violates an
-	// equal-length requirement (a windowed backend's collection, or a
-	// constraint band built for a different length).
+	// ErrLengthMismatch reports a series whose length violates a length
+	// requirement: an equal-length one (a windowed backend's collection,
+	// or a constraint band built for a different length), or the minimum
+	// salient-feature extraction needs.
 	ErrLengthMismatch = errors.New("series length mismatch")
+	// ErrNonFinite reports a series or query holding a NaN, an infinity,
+	// or a value beyond ±MaxMagnitude: DTW over such values yields
+	// meaningless (or overflowing) distances and breaks the ordering the
+	// k-NN heap relies on.
+	ErrNonFinite = errors.New("non-finite value")
 )

@@ -45,19 +45,31 @@ func (s Series) String() string {
 	return fmt.Sprintf("Series(id=%q label=%d len=%d)", s.ID, s.Label, len(s.Values))
 }
 
-// Validate reports an error if the series contains NaN or Inf values or is
-// empty. DTW over non-finite values produces meaningless distances, so
-// ingestion points should validate first.
+// Validate reports an error if the series is empty or holds a value
+// CheckFinite refuses. DTW over such values produces meaningless
+// distances, so ingestion points should validate first.
 func (s Series) Validate() error {
 	if len(s.Values) == 0 {
 		return fmt.Errorf("series: %w", ErrEmptySeries)
 	}
-	for i, v := range s.Values {
-		if math.IsNaN(v) {
-			return fmt.Errorf("series: NaN at index %d", i)
-		}
-		if math.IsInf(v, 0) {
-			return fmt.Errorf("series: Inf at index %d", i)
+	if err := CheckFinite(s.Values); err != nil {
+		return fmt.Errorf("series: %w", err)
+	}
+	return nil
+}
+
+// MaxMagnitude bounds the absolute value of an accepted observation.
+// Past it the squared point cost of two observations, summed along a
+// warp path of a few million steps, can overflow to +Inf: the distance
+// of two finite series would then be no number at all.
+const MaxMagnitude = 1e150
+
+// CheckFinite reports the first value of v that is NaN, infinite, or
+// beyond ±MaxMagnitude, wrapping ErrNonFinite.
+func CheckFinite(v []float64) error {
+	for i, x := range v {
+		if !(math.Abs(x) <= MaxMagnitude) {
+			return fmt.Errorf("%v at index %d (finite values within ±%g only): %w", x, i, MaxMagnitude, ErrNonFinite)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package series
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -51,6 +52,20 @@ func TestValidate(t *testing.T) {
 				t.Fatalf("Validate() error = %v, wantErr %v", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestCheckFinite pins the accepted range: finite values up to
+// ±MaxMagnitude pass; NaN, infinities and larger magnitudes wrap
+// ErrNonFinite.
+func TestCheckFinite(t *testing.T) {
+	if err := CheckFinite([]float64{0, -MaxMagnitude, MaxMagnitude, 1e-300}); err != nil {
+		t.Fatalf("in-range values refused: %v", err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 2 * MaxMagnitude, -math.MaxFloat64} {
+		if err := CheckFinite([]float64{1, v}); !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("CheckFinite(%v) = %v, want ErrNonFinite", v, err)
+		}
 	}
 }
 

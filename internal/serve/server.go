@@ -162,7 +162,10 @@ type SearchStatsJSON struct {
 	Evaluated    int     `json:"evaluated"`
 	AbandonedDTW int     `json:"abandoned_dtw"`
 	PruneRate    float64 `json:"prune_rate"`
-	WallMS       float64 `json:"wall_ms"`
+	// PrepareMS is the time spent preparing the query once for every
+	// shard (salient features, sketch means); part of WallMS.
+	PrepareMS float64 `json:"prepare_ms"`
+	WallMS    float64 `json:"wall_ms"`
 }
 
 // SearchResponse is the /v1/search reply.
@@ -294,6 +297,7 @@ func statusFor(err error) int {
 		errors.Is(err, sdtw.ErrEmptySeries),
 		errors.Is(err, sdtw.ErrBadK),
 		errors.Is(err, sdtw.ErrLengthMismatch),
+		errors.Is(err, sdtw.ErrNonFinite),
 		errors.Is(err, sdtw.ErrEmptyCollection):
 		return http.StatusBadRequest
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
@@ -385,6 +389,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			Evaluated:    stats.Evaluated,
 			AbandonedDTW: stats.AbandonedDTW,
 			PruneRate:    stats.PruneRate(),
+			PrepareMS:    float64(stats.PrepareTime.Microseconds()) / 1000,
 			WallMS:       float64(stats.WallTime.Microseconds()) / 1000,
 		},
 	}
@@ -399,12 +404,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	if !decodeRequest(w, r, "add", &req) {
 		return
 	}
-	s2 := sdtw.NewSeries(req.ID, req.Label, req.Values)
-	if err := s2.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.ix.Add(s2); err != nil {
+	if err := s.ix.Add(sdtw.NewSeries(req.ID, req.Label, req.Values)); err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}

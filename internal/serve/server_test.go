@@ -467,6 +467,7 @@ func TestStatusFor(t *testing.T) {
 		{sdtw.ErrEmptySeries, http.StatusBadRequest},
 		{sdtw.ErrBadK, http.StatusBadRequest},
 		{sdtw.ErrLengthMismatch, http.StatusBadRequest},
+		{sdtw.ErrNonFinite, http.StatusBadRequest},
 		{context.Canceled, http.StatusServiceUnavailable},
 		{context.DeadlineExceeded, http.StatusServiceUnavailable},
 		{fmt.Errorf("wrapped: %w", sdtw.ErrUnknownID), http.StatusNotFound},

@@ -334,8 +334,10 @@ type hit struct {
 	seq uint64
 }
 
-// Search fans the query out across every non-empty shard concurrently
-// and merges the per-shard top-k into the cluster top-k. All shard
+// Search prepares the query once (validation, salient features, sketch
+// means — retrieve.Prepare), fans the prepared query out across every
+// non-empty shard concurrently, and merges the per-shard top-k into the
+// cluster top-k. All shard
 // searches read and tighten one shared best-so-far threshold
 // (Params.Shared), so a tight k-th best found on one shard prunes
 // candidates on every other — the atomic-threshold idiom of the
@@ -355,12 +357,16 @@ func (c *Cluster) Search(ctx context.Context, query series.Series, p retrieve.Pa
 		}
 	}
 	var stats retrieve.Stats
+	// Prepare the query once for every shard: the shards' backends share
+	// one configuration, so shard 0's preparation is valid on all of them.
+	q, err := retrieve.Prepare(c.backends[0], query, c.sketchW)
+	if err != nil {
+		return nil, stats, err
+	}
+	stats.PrepareTime = q.PrepareTime
 	if len(snaps) == 0 {
 		// An empty cluster answers with no neighbours — a serving
 		// collection legitimately starts empty.
-		if len(query.Values) == 0 {
-			return nil, stats, fmt.Errorf("query: %w", retrieve.ErrEmptySeries)
-		}
 		stats.WallTime = time.Since(start)
 		return nil, stats, nil
 	}
@@ -390,7 +396,7 @@ func (c *Cluster) Search(ctx context.Context, query series.Series, p retrieve.Pa
 		wg.Add(1)
 		go func(i int, snap *snapshot) {
 			defer wg.Done()
-			nbrs, st, err := snap.core.Search(ctx, query, rp)
+			nbrs, st, err := snap.core.SearchPrepared(ctx, q, rp)
 			out := shardOut{st: st, err: err}
 			if err == nil && len(nbrs) > 0 {
 				out.hits = make([]hit, len(nbrs))

@@ -236,3 +236,116 @@ func TestExplicitZeroThreshold(t *testing.T) {
 		}
 	}
 }
+
+// withValue returns a copy of s with values[i] replaced by v.
+func withValue(s Series, i int, v float64) Series {
+	c := s.Clone()
+	c.Values[i] = v
+	return c
+}
+
+// TestNonFiniteRejected: a NaN or an infinity is refused with
+// ErrNonFinite wherever series enter the search path — index
+// construction, Add (in RAM, sharded, and through a segment store), and
+// every query — instead of yielding NaN-distance hits.
+func TestNonFiniteRejected(t *testing.T) {
+	d := TraceDataset(DatasetConfig{Seed: 31, SeriesPerClass: 3})
+	ctx := context.Background()
+	opts := Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}
+	bad := map[string]Series{
+		"NaN":  withValue(d.Series[0], 5, math.NaN()),
+		"+Inf": withValue(d.Series[0], 0, math.Inf(1)),
+		"-Inf": withValue(d.Series[0], d.Series[0].Len()-1, math.Inf(-1)),
+	}
+	require := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("%s: got %v, want ErrNonFinite", what, err)
+		}
+	}
+	flat, err := NewIndex(d.Series, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windowed, err := NewWindowedIndex(d.Series, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := NewShardedIndex(d.Series, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir() + "/store"
+	if err := flat.SaveStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := OpenIndex(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.CloseStore()
+	for name, s := range bad {
+		data := append([]Series{s}, d.Series[1:]...)
+		_, err := NewIndex(data, opts)
+		require(name+" NewIndex", err)
+		_, err = NewWindowedIndex(data, 12)
+		require(name+" NewWindowedIndex", err)
+		_, err = NewShardedIndex(data, 2, opts)
+		require(name+" NewShardedIndex", err)
+
+		added := Series{ID: "added", Values: s.Values}
+		require(name+" Index.Add", flat.Add(added))
+		require(name+" ShardedIndex.Add", sharded.Add(added))
+		require(name+" store-backed Add", cold.Add(added))
+
+		query := Series{Values: s.Values}
+		for ixName, ix := range map[string]*Index{"flat": flat, "windowed": windowed, "store": cold} {
+			_, _, err = ix.Search(ctx, query, WithK(3))
+			require(name+" "+ixName+" Search", err)
+			_, _, err = ix.SearchBatch(ctx, []Series{d.Series[1], query}, WithK(3))
+			require(name+" "+ixName+" SearchBatch", err)
+		}
+		_, _, err = sharded.Search(ctx, query, WithK(3))
+		require(name+" ShardedIndex.Search", err)
+	}
+	if flat.Len() != d.Len() || sharded.Len() != d.Len() || cold.Len() != d.Len() {
+		t.Fatalf("rejected adds changed the collections: %d/%d/%d, want %d", flat.Len(), sharded.Len(), cold.Len(), d.Len())
+	}
+	st, err := cold.StoreStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LiveRecords != d.Len() {
+		t.Fatalf("rejected adds reached the store: %d live records, want %d", st.LiveRecords, d.Len())
+	}
+}
+
+// TestSearchStatsPrepareTime: an engine-backed search spends measurable
+// time preparing its query (salient features), and that time is part of
+// the search's wall time, flat and sharded alike.
+func TestSearchStatsPrepareTime(t *testing.T) {
+	d := TraceDataset(DatasetConfig{Seed: 33, SeriesPerClass: 3})
+	q := Series{Values: TraceDataset(DatasetConfig{Seed: 34, SeriesPerClass: 1}).Series[0].Values}
+	ctx := context.Background()
+	flat, err := NewIndex(d.Series, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := NewShardedIndex(d.Series, 2, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, flatStats, err := flat.Search(ctx, q, WithK(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, shardedStats, err := sharded.Search(ctx, q, WithK(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]SearchStats{"flat": flatStats, "sharded": shardedStats} {
+		if st.PrepareTime <= 0 || st.PrepareTime > st.WallTime {
+			t.Fatalf("%s: PrepareTime %v, WallTime %v: want 0 < PrepareTime <= WallTime", name, st.PrepareTime, st.WallTime)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 
 	"sdtw/internal/lower"
 	"sdtw/internal/retrieve"
+	"sdtw/internal/series"
 	"sdtw/internal/shard"
 	"sdtw/internal/sketch"
 	"sdtw/internal/store"
@@ -480,6 +481,9 @@ func (ss *storeSet) add(sh int, s Series, admit func() (uint64, error), undo fun
 	}
 	if len(s.Values) == 0 {
 		return fmt.Errorf("sdtw: Add: series %q: %w", s.ID, ErrEmptySeries)
+	}
+	if err := series.CheckFinite(s.Values); err != nil {
+		return fmt.Errorf("sdtw: Add: series %q: %w", s.ID, err)
 	}
 	st := ss.shards[sh]
 	env := lower.NewEnvelope(s.Values, ss.backends[sh].EnvelopeRadius(len(s.Values)))
