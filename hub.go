@@ -106,7 +106,8 @@ func NewHub(opts Options, hopts ...HubOption) *Hub {
 // thresholded emissions, so WithMatchThreshold is required (WithBestOnly
 // does not apply); WithMinGap is honoured per stream. Existing streams
 // pick the query up at their next processed point, and its matches carry
-// absolute stream positions.
+// absolute stream positions. A query holding a NaN, an infinity or a
+// value beyond ±1e150 is refused with ErrNonFinite.
 func (h *Hub) AddQuery(id string, query Series, mopts ...MonitorOption) error {
 	cfg := monitorConfig{threshold: math.Inf(1)}
 	for _, o := range mopts {

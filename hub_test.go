@@ -479,3 +479,30 @@ func TestHubAddQueryValidation(t *testing.T) {
 		t.Fatalf("duplicate query ID: %v, want ErrDuplicateID", err)
 	}
 }
+
+// TestStreamingRejectsNonFiniteQueries: a standing query holding a NaN,
+// an infinity or a value past ±1e150 could never match (every alignment
+// cost is NaN or overflows), so Hub.AddQuery and NewMonitor refuse it
+// with ErrNonFinite instead of running it silently.
+func TestStreamingRejectsNonFiniteQueries(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e151, -1e151} {
+		q := NewSeries("q", 0, []float64{1, bad, 2})
+		h := NewHub(Options{})
+		if err := h.AddQuery("q", q, WithMatchThreshold(1)); !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("Hub.AddQuery with %v: %v, want ErrNonFinite", bad, err)
+		}
+		// The refused query left no trace: its ID is still free.
+		if err := h.AddQuery("q", NewSeries("q", 0, []float64{1, 2}), WithMatchThreshold(1)); err != nil {
+			t.Fatalf("Hub.AddQuery after a refused query: %v", err)
+		}
+		if _, err := NewMonitor([]Series{q}, Options{}, WithMatchThreshold(1)); !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("NewMonitor with %v: %v, want ErrNonFinite", bad, err)
+		}
+		if _, err := NewMonitor([]Series{q}, Options{}); !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("best-only NewMonitor with %v: %v, want ErrNonFinite", bad, err)
+		}
+	}
+	if _, err := NewMonitor([]Series{NewSeries("q", 0, []float64{1, 1e150, -1e150})}, Options{}); err != nil {
+		t.Fatalf("NewMonitor at ±1e150: %v", err)
+	}
+}

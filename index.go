@@ -25,11 +25,12 @@ import (
 // Both constructors pay the one-time indexing costs up front (salient
 // feature extraction for the engine backend; LB_Keogh upper/lower
 // envelopes for both) and both serve queries through the same shared
-// cascade: candidates ordered by the cheap LB_Kim bound are discarded
-// against a best-so-far threshold — first by LB_Kim, then by envelope
-// LB_Keogh — before any DTW grid work, and the survivors fan out across a
-// bounded worker pool running threshold-aware early-abandoning dynamic
-// programs. The cascade is exact: Search returns precisely the neighbours
+// cascade: candidates drawn cheapest-first by a cheap bound (the stage-0
+// LB_PAA sketch bound, or LB_Kim) are discarded against a best-so-far
+// threshold — first by that bound, then by envelope LB_Keogh — before any
+// DTW grid work; the scan stops once the next bound exceeds the k-th
+// best, and the survivors fan out across a bounded worker pool running
+// threshold-aware early-abandoning dynamic programs. The cascade is exact: Search returns precisely the neighbours
 // a brute-force scan under the same distance would.
 //
 // An Index is safe for concurrent use. Searches run under a read lock;

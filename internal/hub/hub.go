@@ -300,13 +300,19 @@ func (h *Hub) Matches() <-chan Match { return h.out }
 
 // AddQuery registers a standing query. Existing streams pick it up at
 // their next processed point; its matches carry absolute stream
-// positions but regions never start before the addition point.
+// positions but regions never start before the addition point. Query
+// values must be finite (series.CheckFinite).
 func (h *Hub) AddQuery(q Query) error {
 	if q.ID == "" {
 		return fmt.Errorf("hub: AddQuery: empty query ID: %w", retrieve.ErrUnknownID)
 	}
 	if math.IsNaN(q.Threshold) || math.IsInf(q.Threshold, 0) || q.Threshold < 0 {
 		return fmt.Errorf("hub: AddQuery %q: threshold must be finite and non-negative, got %v", q.ID, q.Threshold)
+	}
+	// A non-finite query value would make every alignment cost NaN or
+	// +Inf: the query could never match, silently.
+	if err := series.CheckFinite(q.Values); err != nil {
+		return fmt.Errorf("hub: AddQuery %q: %w", q.ID, err)
 	}
 	tpl, err := dtw.NewSpringTemplate(q.Values, dtw.SpringConfig{
 		Dist:      h.cfg.Dist,

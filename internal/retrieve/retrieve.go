@@ -1,10 +1,18 @@
 // Package retrieve implements the shared lower-bound-cascaded k-NN
-// retrieval core behind the public sdtw.Index: one cascade — LB_Kim
-// candidate ordering, LB_Keogh envelope pruning against a shared
-// best-so-far threshold, and threshold-aware early-abandoning DTW fanned
-// out across a bounded worker pool — parameterised by a small Backend
-// interface supplying the actual distance family (the sDTW banded engine
-// or the Sakoe-Chiba windowed exact-DTW pipeline).
+// retrieval core behind the public sdtw.Index: one cascade — candidates
+// drawn cheapest-first by their stage-0 LB_PAA or LB_Kim bound, LB_Keogh
+// envelope pruning against a shared best-so-far threshold, and
+// threshold-aware early-abandoning DTW fanned out across a bounded
+// worker pool — parameterised by a small Backend interface supplying the
+// actual distance family (the sDTW banded engine or the Sakoe-Chiba
+// windowed exact-DTW pipeline).
+//
+// Candidates are drawn lazily from a min-heap built in O(N), so a search
+// orders only the prefix it visits, and the scan stops once the next
+// bound exceeds the k-th best: bounds only rise from there and the
+// threshold only falls, so every remaining candidate is counted as
+// pruned (at stage 0 when sketched, at LB_Kim otherwise) without being
+// visited. A search costs O(N) cheap bound work plus O(visited · log N).
 //
 // The cascade is exact for any backend whose Cascade method reports the
 // bounds admissible: LB_Kim and LB_Keogh (at the backend's envelope
@@ -609,6 +617,139 @@ type candidate struct {
 	paa   bool
 }
 
+// candPool recycles candidate buffers across searches: at 10⁵ series a
+// buffer is megabytes, and a fresh one per query per shard would be most
+// of a search's garbage.
+var candPool sync.Pool // of *[]candidate
+
+// candHeap is a binary min-heap of candidates on (bound, pos) — the same
+// total order a full sort gives, built in O(N) and popped lazily, so a
+// search orders only the prefix it visits.
+type candHeap []candidate
+
+func (h candHeap) less(a, b int) bool {
+	if h[a].bound != h[b].bound {
+		return h[a].bound < h[b].bound
+	}
+	return h[a].pos < h[b].pos
+}
+
+// init establishes the heap order bottom-up in O(N).
+func (h candHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// down sifts element i towards the leaves until its children are no
+// smaller.
+func (h candHeap) down(i int) {
+	n := len(h)
+	for {
+		m := 2*i + 1
+		if m >= n {
+			return
+		}
+		if r := m + 1; r < n && h.less(r, m) {
+			m = r
+		}
+		if !h.less(m, i) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// pop removes and returns the cheapest candidate; h must be non-empty.
+func (h *candHeap) pop() candidate {
+	old := *h
+	last := len(old) - 1
+	top := old[0]
+	old[0] = old[last]
+	*h = old[:last]
+	h.down(0)
+	return top
+}
+
+// candQueue hands a search's candidates to its workers. With the cascade
+// on it pops them cheapest-first from a min-heap and stops at the first
+// bound above the pruning threshold: bounds only rise from there and the
+// threshold only falls, so every candidate left would be pruned at stage
+// 0 or at LB_Kim, and the search counts them in bulk instead of visiting
+// them. With the cascade off it hands out every candidate in position
+// order.
+type candQueue struct {
+	mu      sync.Mutex
+	ordered bool
+
+	// heap holds the candidates not yet handed out (ordered).
+	heap candHeap
+	// paaLeft counts the candidates in heap with paa set.
+	paaLeft int
+	// tail reports that the scan stopped at a bound above the threshold,
+	// leaving heap as the bulk-pruned tail.
+	tail bool
+
+	// scan and next are the position-order cursor (not ordered).
+	scan []candidate
+	next int
+}
+
+// pull returns the next candidate to visit, or false when none is left
+// to visit.
+func (q *candQueue) pull(threshold *SharedThreshold) (candidate, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if !q.ordered {
+		if q.next == len(q.scan) {
+			return candidate{}, false
+		}
+		q.next++
+		return q.scan[q.next-1], true
+	}
+	if len(q.heap) == 0 || q.tail {
+		return candidate{}, false
+	}
+	if q.heap[0].bound > threshold.Load() {
+		q.tail = true
+		return candidate{}, false
+	}
+	cd := q.heap.pop()
+	if cd.paa {
+		q.paaLeft--
+	}
+	return cd, true
+}
+
+// tally is one worker's share of a search's accounting, accumulated
+// without atomics or clocks on the prune path and merged into Stats once
+// the worker is done.
+type tally struct {
+	prunedSketch, prunedKim, prunedKeogh int
+	evaluated, abandoned                 int
+	cells, cellsSaved                    int
+	matchTime, dpTime                    time.Duration
+	// evalTime is the worker's time from a candidate surviving the bounds
+	// to its result being merged: cold fetch, the backend distance and the
+	// k-heap update. The rest of the worker's time is bound work.
+	evalTime time.Duration
+}
+
+// addTo folds the tally of a worker that ran for busy into s.
+func (t *tally) addTo(s *Stats, busy time.Duration) {
+	s.PrunedSketch += t.prunedSketch
+	s.PrunedKim += t.prunedKim
+	s.PrunedKeogh += t.prunedKeogh
+	s.Evaluated += t.evaluated
+	s.AbandonedDTW += t.abandoned
+	s.Cells += t.cells
+	s.CellsSaved += t.cellsSaved
+	s.MatchTime += t.matchTime
+	s.DPTime += t.dpTime
+	s.BoundTime += busy - t.evalTime
+}
+
 // bestK is the best-so-far heap: a max-heap on (distance, position)
 // holding at most k neighbours, so the root is the current k-th best and
 // the pruning threshold.
@@ -829,18 +970,31 @@ func (c *Core) search(ctx context.Context, query *Query, p Params, start time.Ti
 	}
 	limit := p.EffectiveThreshold()
 
-	// Ordering pass: a cheap bound for every candidate, cheapest first.
-	// O(1) per candidate for LB_Kim, O(W) for the stage-0 sketch bound —
-	// both read only hot metadata (endpoints, sketches), never the
-	// possibly-cold raw values — so this stays sequential; it also fixes
-	// the processing order that lets the k-heap threshold tighten fast.
+	// Ordering pass: a cheap bound for every candidate. O(1) per
+	// candidate for LB_Kim, O(W) for the stage-0 sketch bound — both read
+	// only hot metadata (endpoints, sketches), never the possibly-cold raw
+	// values — so this stays sequential. The cascade then draws candidates
+	// cheapest-first, the order that lets the k-heap threshold tighten
+	// fast.
 	boundStart := time.Now()
 	useSketch := c.cascade && c.sketchW > 0 && !p.NoSketch
 	if useSketch && len(query.means) != c.sketchW {
 		return nil, stats, fmt.Errorf("query prepared at sketch width %d, collection sketched at %d: %w",
 			len(query.means), c.sketchW, ErrConfigMismatch)
 	}
-	cands := make([]candidate, 0, len(c.data))
+	buf, _ := candPool.Get().(*[]candidate)
+	if buf == nil {
+		buf = new([]candidate)
+	}
+	cands := (*buf)[:0]
+	if cap(cands) < len(c.data) {
+		cands = make([]candidate, 0, len(c.data))
+	}
+	defer func() {
+		*buf = cands[:0]
+		candPool.Put(buf)
+	}()
+	paaTotal := 0
 	var kimVals [2]float64
 	for i, s := range c.data {
 		if i%kimCheckEvery == 0 {
@@ -875,20 +1029,21 @@ func (c *Core) search(ctx context.Context, query *Query, p Params, start time.Ti
 			if useSketch && m.n == len(query.Values) {
 				cd.bound = sketch.LBPAA(query.means, c.sketches[i], m.n)
 				cd.paa = true
+				paaTotal++
 			}
 		}
 		cands = append(cands, cd)
 	}
+	queue := candQueue{ordered: c.cascade}
+	if c.cascade {
+		queue.heap = candHeap(cands)
+		queue.heap.init()
+		queue.paaLeft = paaTotal
+	} else {
+		queue.scan = cands
+	}
 	stats.Candidates = len(cands)
 	stats.BoundTime += time.Since(boundStart)
-	if c.cascade {
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].bound != cands[b].bound {
-				return cands[a].bound < cands[b].bound
-			}
-			return cands[a].pos < cands[b].pos
-		})
-	}
 	k := p.K
 	if k <= 0 || k > len(cands) {
 		k = len(cands)
@@ -911,11 +1066,11 @@ func (c *Core) search(ctx context.Context, query *Query, p Params, start time.Ti
 	}
 
 	// Stages 1-3, fanned out: LB_Kim check, LB_Keogh check, full DTW.
-	// Per-candidate accounting uses atomic counters so the fast prune
-	// path never touches the heap mutex. The pruning threshold is the
+	// Each worker keeps its own tally, so the prune path touches neither
+	// the heap mutex nor a shared counter. The pruning threshold is the
 	// tighter of the k-th best distance and the caller's range limit.
 	best := make(bestK, 0, k+1)
-	var mu sync.Mutex // guards best and firstErr
+	var mu sync.Mutex // guards best, firstErr and the stats merge
 	var firstErr error
 	var stop atomic.Bool
 	fail := func(err error) {
@@ -936,58 +1091,57 @@ func (c *Core) search(ctx context.Context, query *Query, p Params, start time.Ti
 		threshold.Tighten(limit)
 	}
 	abandon := c.abandon.Load() && !p.NoAbandon
-	var prunedSketch, prunedKim, prunedKeogh, evaluated, abandoned, cells, cellsSaved atomic.Int64
-	var boundNS, matchNS, dpNS atomic.Int64
-	workers := c.workers
-	if p.Workers > 0 {
-		workers = p.Workers
-	}
-	parallelFor(ctx, workers, len(cands), &stop, func(n int) {
-		cd := cands[n]
-		s := c.data[cd.pos]
-		if c.cascade {
-			if cd.paa {
-				// Stage 0: the precomputed LB_PAA sketch bound, checked
-				// before LB_Kim. Pruning here costs O(1) and touches
-				// neither the raw values nor the full envelope.
-				if cd.bound > threshold.Load() {
-					prunedSketch.Add(1)
-					return
-				}
+
+	// bounds runs stages 0-2 on one candidate and reports whether it
+	// survived them.
+	bounds := func(cd candidate, t *tally) bool {
+		if !c.cascade {
+			return true
+		}
+		if cd.paa && cd.bound > threshold.Load() {
+			// Stage 0: the precomputed LB_PAA sketch bound, checked
+			// before LB_Kim. Pruning here costs O(1) and touches neither
+			// the raw values nor the full envelope.
+			t.prunedSketch++
+			return false
+		}
+		if cd.kim > threshold.Load() {
+			t.prunedKim++
+			return false
+		}
+		if env := c.envelopes[cd.pos]; len(env.Upper) == len(query.Values) {
+			// The active threshold rides into the bound itself: the
+			// partial Keogh sum is a valid lower bound, so summation
+			// abandons the moment it proves the candidate prunable.
+			// Abandonment implies the partial sum exceeded a threshold
+			// no looser than the current one (it only tightens), so the
+			// skip decision matches the full evaluation's. The A/B
+			// switch that disables DP abandonment disables this too, so
+			// the baseline leg measures full bound evaluation.
+			kgBudget := math.Inf(1)
+			if abandon {
+				kgBudget = threshold.Load()
 			}
-			if cd.kim > threshold.Load() {
-				prunedKim.Add(1)
-				return
+			kg, kgAbandoned, err := lower.KeoghUnder(query.Values, env, kgBudget, nil)
+			if err != nil {
+				fail(fmt.Errorf("LB_Keogh to %q: %w", c.data[cd.pos].ID, err))
+				return false
 			}
-			if env := c.envelopes[cd.pos]; len(env.Upper) == len(query.Values) {
-				// The active threshold rides into the bound itself: the
-				// partial Keogh sum is a valid lower bound, so summation
-				// abandons the moment it proves the candidate prunable.
-				// Abandonment implies the partial sum exceeded a threshold
-				// no looser than the current one (it only tightens), so
-				// the skip decision matches the full evaluation's. The
-				// A/B switch that disables DP abandonment disables this
-				// too, so the baseline leg measures full bound evaluation.
-				kgBudget := math.Inf(1)
-				if abandon {
-					kgBudget = threshold.Load()
-				}
-				kgStart := time.Now()
-				kg, kgAbandoned, err := lower.KeoghUnder(query.Values, env, kgBudget, nil)
-				boundNS.Add(int64(time.Since(kgStart)))
-				if err != nil {
-					fail(fmt.Errorf("LB_Keogh to %q: %w", s.ID, err))
-					return
-				}
-				if kgAbandoned || kg > threshold.Load() {
-					prunedKeogh.Add(1)
-					return
-				}
+			if kgAbandoned || kg > threshold.Load() {
+				t.prunedKeogh++
+				return false
 			}
 		}
-		// The candidate survived every bound: materialise its raw values
-		// if they are still cold. The slot caches, so each series pays
-		// the disk read at most once per core lifetime.
+		return true
+	}
+
+	// evaluate runs stage 3 on a candidate that survived the bounds and
+	// offers its distance to the k-heap.
+	evaluate := func(cd candidate, t *tally) {
+		s := c.data[cd.pos]
+		// Materialise the raw values if they are still cold. The slot
+		// caches, so each series pays the disk read at most once per core
+		// lifetime.
 		if c.cold != nil {
 			if slot := c.cold[cd.pos]; slot != nil {
 				vals, err := slot.get()
@@ -998,11 +1152,11 @@ func (c *Core) search(ctx context.Context, query *Query, p Params, start time.Ti
 				s.Values = vals
 			}
 		}
-		// Stage 3: the dynamic program itself, early-abandoning against
-		// the shared threshold. The threshold only ever decreases, so a
-		// stale read yields a looser budget — extra rows filled, never a
-		// wrong result. Abandonment is strict (> budget), so a candidate
-		// tying the k-th distance is always evaluated fully.
+		// The dynamic program itself, early-abandoning against the shared
+		// threshold. The threshold only ever decreases, so a stale read
+		// yields a looser budget — extra rows filled, never a wrong
+		// result. Abandonment is strict (> budget), so a candidate tying
+		// the k-th distance is always evaluated fully.
 		budget := math.Inf(1)
 		if abandon {
 			budget = threshold.Load()
@@ -1012,16 +1166,16 @@ func (c *Core) search(ctx context.Context, query *Query, p Params, start time.Ti
 			fail(fmt.Errorf("distance to %q: %w", s.ID, err))
 			return
 		}
-		evaluated.Add(1)
-		cells.Add(int64(res.CellsFilled))
-		matchNS.Add(int64(res.MatchTime))
-		dpNS.Add(int64(res.DPTime))
+		t.evaluated++
+		t.cells += res.CellsFilled
+		t.matchTime += res.MatchTime
+		t.dpTime += res.DPTime
 		if res.Abandoned {
 			// The partial cost already exceeds the pruning threshold (and
 			// the threshold can only have tightened since), so the
 			// candidate cannot enter the heap.
-			abandoned.Add(1)
-			cellsSaved.Add(int64(res.BandCells - res.CellsFilled))
+			t.abandoned++
+			t.cellsSaved += res.BandCells - res.CellsFilled
 			return
 		}
 		if res.Distance > limit {
@@ -1045,17 +1199,45 @@ func (c *Core) search(ctx context.Context, query *Query, p Params, start time.Ti
 			threshold.Tighten(best[0].Distance)
 		}
 		mu.Unlock()
-	})
-	stats.PrunedSketch = int(prunedSketch.Load())
-	stats.PrunedKim = int(prunedKim.Load())
-	stats.PrunedKeogh = int(prunedKeogh.Load())
-	stats.Evaluated = int(evaluated.Load())
-	stats.AbandonedDTW = int(abandoned.Load())
-	stats.CellsSaved = int(cellsSaved.Load())
-	stats.Cells = int(cells.Load())
-	stats.BoundTime += time.Duration(boundNS.Load())
-	stats.MatchTime = time.Duration(matchNS.Load())
-	stats.DPTime = time.Duration(dpNS.Load())
+	}
+
+	// work drains the queue until it runs dry, the scan reaches the
+	// pruned tail, a candidate fails or ctx is cancelled. A worker's time
+	// outside evaluate is bound work: the pops and stages 0-2.
+	work := func() {
+		var t tally
+		workStart := time.Now()
+		for !stop.Load() && ctxErr(ctx) == nil {
+			cd, ok := queue.pull(threshold)
+			if !ok {
+				break
+			}
+			if !bounds(cd, &t) {
+				continue
+			}
+			evalStart := time.Now()
+			evaluate(cd, &t)
+			t.evalTime += time.Since(evalStart)
+		}
+		busy := time.Since(workStart)
+		mu.Lock()
+		t.addTo(&stats, busy)
+		mu.Unlock()
+	}
+	workers := c.workers
+	if p.Workers > 0 {
+		workers = p.Workers
+	}
+	// One index per worker: each drains the shared queue.
+	workers = min(workers, len(cands))
+	parallelFor(ctx, workers, workers, &stop, func(int) { work() })
+	if queue.tail {
+		// Bulk tail pruning, with the per-candidate rule: each remaining
+		// bound exceeds the threshold, so a sketched candidate would fall
+		// at stage 0 and any other (bound == LB_Kim) at LB_Kim.
+		stats.PrunedSketch += queue.paaLeft
+		stats.PrunedKim += len(queue.heap) - queue.paaLeft
+	}
 	stats.WallTime = time.Since(start)
 	// A cancelled context outranks the per-candidate errors it provoked:
 	// the caller asked the search to stop, and that is the answer.

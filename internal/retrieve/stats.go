@@ -42,7 +42,11 @@ type Stats struct {
 	// whole search: validation, salient features (engine backend) and
 	// stage-0 sketch means. It is part of WallTime.
 	PrepareTime time.Duration
-	// BoundTime is the time spent computing LB_Kim and LB_Keogh bounds.
+	// BoundTime is the time spent on candidate selection and the bounds:
+	// the ordering pass (LB_PAA and LB_Kim for every candidate) with the
+	// heap build, then each worker's time drawing candidates and running
+	// stages 0-2 — its elapsed time less its evaluations, so no clock is
+	// read per pruned candidate.
 	BoundTime time.Duration
 	// MatchTime and DPTime are the summed backend stage durations of the
 	// evaluated candidates (the paper's tasks b and c).

@@ -120,28 +120,37 @@ func Means(q []float64, w int, out []float64) ([]float64, error) {
 // conversion like the Keogh kernel's, so fused multiply-add cannot
 // inflate the bound past its generic evaluation.
 //
+// Segment k has length (k+1)·n/w − k·n/w, which is n/w plus one exactly
+// when the running remainder k·(n%w) mod w wraps past w. The loop walks
+// that remainder with a carry accumulator instead of dividing twice per
+// segment; the lengths, and so the bound, are bit-identical to the
+// division formula's.
+//
 //sdtw:hotpath
 func LBPAA(qmean []float64, sk Sketch, n int) float64 {
 	w := len(sk.Upper)
 	up := sk.Upper[:w:w]
 	lo := sk.Lower[:w:w]
 	qm := qmean[:w:w]
+	base, rem := n/w, n%w
+	acc := 0
 	sum := 0.0
 	for k := 0; k < w; k++ {
-		segLo, segHi := k*n/w, (k+1)*n/w
-		if segHi <= segLo {
+		segLen := base
+		if acc += rem; acc >= w {
+			acc -= w
+			segLen++
+		}
+		if segLen == 0 {
 			continue
 		}
+		// d is the mean's signed distance to [lo, up]: at most one term
+		// is non-zero, and inside the interval d is 0, adding exactly 0.
+		// Branch-free, because which side a far candidate's segment
+		// falls on is a coin toss the branch predictor would lose.
 		m := qm[k]
-		var d float64
-		if u := up[k]; m > u {
-			d = m - u
-		} else if l := lo[k]; m < l {
-			d = m - l
-		} else {
-			continue
-		}
-		sum += float64(segHi-segLo) * float64(d*d)
+		d := max(m-up[k], 0) + min(m-lo[k], 0)
+		sum += float64(segLen) * float64(d*d)
 	}
 	return sum
 }

@@ -158,6 +158,59 @@ func TestLBPAAZeroAlloc(t *testing.T) {
 	_ = sink
 }
 
+// lbpaaDivide is the reference LB_PAA: the segment bounds of every
+// segment recomputed by two integer divisions, k·n/w and (k+1)·n/w.
+func lbpaaDivide(qmean []float64, sk Sketch, n int) float64 {
+	w := len(sk.Upper)
+	sum := 0.0
+	for k := 0; k < w; k++ {
+		segLo, segHi := k*n/w, (k+1)*n/w
+		if segHi <= segLo {
+			continue
+		}
+		m := qmean[k]
+		var d float64
+		if u := sk.Upper[k]; m > u {
+			d = m - u
+		} else if l := sk.Lower[k]; m < l {
+			d = m - l
+		} else {
+			continue
+		}
+		sum += float64(segHi-segLo) * float64(d*d)
+	}
+	return sum
+}
+
+// TestLBPAAMatchesDivisionReference pins the carry-accumulator segment
+// walk bit for bit to the division formula, over random lengths and
+// widths — n < w (empty segments), n == w, n a multiple of w and not.
+func TestLBPAAMatchesDivisionReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(300) + 1
+		w := rng.Intn(64) + 1
+		if trial%4 == 0 {
+			n = rng.Intn(w) + 1 // n <= w: empty segments when n < w
+		}
+		q := randomValues(rng, n)
+		c := randomValues(rng, n)
+		sk, err := FromEnvelope(lower.NewEnvelope(c, rng.Intn(8)), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qm, err := Means(q, w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := LBPAA(qm, sk, n), lbpaaDivide(qm, sk, n)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d w=%d: LBPAA = %v (%#x), division reference = %v (%#x)",
+				n, w, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 // FuzzLBPAAAdmissible fuzzes the stage-0 contract differentially, like
 // the existing bound fuzzers: LB_PAA must never exceed LB_Keogh at the
 // same radius, nor the Sakoe-Chiba DTW distance the envelope assumes.

@@ -22,15 +22,16 @@
 //     mirroring the Search idiom.
 //
 // Index searches run a shared lower-bound cascade (Keogh's exact-indexing
-// pipeline, the paper's reference [7]): candidates are ordered by the
-// cheap LB_Kim bound and discarded against a shared best-so-far threshold
-// — first by LB_Kim, then by LB_Keogh on envelopes precomputed at
-// indexing time — before any DTW grid work, with the survivors fanned out
-// across a bounded worker pool running early-abandoning DTW against the
-// same threshold. The cascade is exact for the backend's distance, every
-// search reports a SearchStats record (per-stage prune counts, grid cells
-// filled and saved, per-stage times), and a cancelled context stops the
-// search mid-band. SearchBatch and LabelsAll run whole-dataset workloads
+// pipeline, the paper's reference [7]): candidates are drawn cheapest-first
+// by a cheap bound (the stage-0 LB_PAA sketch bound, or LB_Kim) and
+// discarded against a shared best-so-far threshold — first by that bound,
+// then by LB_Keogh on envelopes precomputed at indexing time — before any
+// DTW grid work, with the survivors fanned out across a bounded worker
+// pool running early-abandoning DTW against the same threshold. The
+// cascade is exact for the backend's distance, every search reports a
+// SearchStats record (per-stage prune counts, grid cells filled and
+// saved, per-stage times), and a cancelled context stops the search
+// mid-band. SearchBatch and LabelsAll run whole-dataset workloads
 // through the same path; Add and Remove mutate the collection in place;
 // SaveStore exports the index, one-time costs included, into a segment
 // store that OpenIndex serves from without loading raw values into RAM.

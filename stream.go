@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sdtw/internal/dtw"
+	"sdtw/internal/series"
 )
 
 // Match is one subsequence occurrence reported by a Monitor: the region
@@ -155,8 +156,9 @@ type Monitor struct {
 }
 
 // NewMonitor builds a streaming monitor over the given query patterns.
-// Every query must be non-empty and non-empty query IDs must be unique
-// (they label emitted matches). Of opts, the monitor uses PointDistance
+// Every query must be non-empty and finite (a NaN, an infinity or a
+// value beyond ±1e150 is refused with ErrNonFinite), and non-empty query
+// IDs must be unique (they label emitted matches). Of opts, the monitor uses PointDistance
 // and Workers; band options do not apply — open-begin subsequence
 // alignment runs the full per-point recurrence.
 func NewMonitor(queries []Series, opts Options, mopts ...MonitorOption) (*Monitor, error) {
@@ -194,6 +196,9 @@ func NewMonitor(queries []Series, opts Options, mopts ...MonitorOption) (*Monito
 				return nil, fmt.Errorf("sdtw: NewMonitor: queries %d and %d share ID %q: %w", prev, i, q.ID, ErrDuplicateID)
 			}
 			seen[q.ID] = i
+		}
+		if err := series.CheckFinite(q.Values); err != nil {
+			return nil, fmt.Errorf("sdtw: NewMonitor: query %d: %w", i, err)
 		}
 		sp, err := dtw.NewSpring(q.Values, dtw.SpringConfig{
 			Dist:      opts.PointDistance,
